@@ -1,12 +1,13 @@
 """Run-to-run spread of the end-to-end metrics, for choosing their bounds.
 
     python3 perfbench/steadiness.py [--runs 10] [--first-seed 1]
-        [--seconds 15] [--workloads W ...] [--out FILE]
+        [--seconds S] [--workloads W ...] [--out FILE]
 
 Runs the benchmark once per seed per workload, each run a fresh
 process, and reports for every end-to-end metric the median, the first
 and third quartiles (``statistics.quantiles(values, n=4)``) and the
 spread, the distance between the quartiles as a share of the median.
+The workloads and the run length default to those of BENCHMARK.json.
 With ``--out`` the report is also written as JSON.
 """
 
@@ -21,9 +22,6 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-sys.path.insert(0, str(HERE))
-
-from workloads import WORKLOADS  # noqa: E402
 
 
 def one_run(workload: str, seed: int, seconds: int) -> dict:
@@ -41,11 +39,13 @@ def summarize(values: list[float]) -> dict:
 
 
 def main(argv=None) -> int:
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--seconds", type=int, default=15)
-    ap.add_argument("--workloads", nargs="+", default=list(WORKLOADS))
+    ap.add_argument("--seconds", type=int, default=bench["run_seconds"])
+    ap.add_argument("--workloads", nargs="+",
+                    default=[w["name"] for w in bench["workloads"]])
     ap.add_argument("--out")
     args = ap.parse_args(argv)
 
