@@ -19,7 +19,6 @@ from .arith import factorize
 from .conjugacy import (
     conjugacy_invariant,
     hol_class_id,
-    hol_conjugate,
     rep_system,
     reps_as_cyclotomic,
 )
@@ -314,13 +313,13 @@ def cmd_conjugate(args) -> int:
         h = AffineMapZ.parse(args.elements[1])
         if g.m != h.m:
             raise CommandError("moduli differ")
-        verdict = hol_conjugate(g, h)
+        ids = [hol_class_id(g), hol_class_id(h)]
+        verdict = ids[0] == ids[1]
         payload = {"status": "ok", "conjugate": verdict}
         if not verdict:
             payload["distinguished_by"] = (
                 "multiplier" if g.a != h.a else "translation-orbit")
-            payload["class_ids"] = [str(tuple(hol_class_id(g))),
-                                    str(tuple(hol_class_id(h)))]
+            payload["class_ids"] = [str(tuple(i)) for i in ids]
         return _emit(args, payload)
     if args.group in ("w", "weq"):
         mode = "W" if args.group == "w" else "Weq"

@@ -4,9 +4,13 @@ representative systems for full cycles and involutions.
 Hol(Z/mZ): conjugating lam(a,b) yields lam(a, (1-a)z + c*b) for z in
 Z/mZ and units c, so two maps are conjugate iff their multipliers agree
 and their translation parts lie in the same orbit; the minimal orbit
-member is the canonical class id.  lam(a,b) is an m-cycle iff
-a = 1 (mod rad'(m)) and gcd(b, m) = 1 (the classical full-period
-criterion for linear congruential generators).
+member is the canonical class id.  It has a closed form: with
+g = gcd(1-a, m) it is gcd(b, g), or 0 when g | b.  Modulo g the orbit
+is the set of x with gcd(x, g) = gcd(b, g), because units mod m map
+onto units mod g; its least member is gcd(b, g), or 0 when that is g.
+So class ids and conjugacy cost a few gcds, with no factorization.
+lam(a,b) is an m-cycle iff a = 1 (mod rad'(m)) and gcd(b, m) = 1 (the
+classical full-period criterion for linear congruential generators).
 
 W(d,m) = Hol wr Sym(d): two elements are conjugate iff their top
 permutations have equal cycle type and, for every length l, the
@@ -40,7 +44,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .arith import crt_basis, factorize, nu_cap, rad_prime, units
+from .arith import crt_basis, factorize, rad_prime, units
 from .field import CyclotomicContext
 from .wreath import AffineMapZ, CosetPerm, WreathElem, fcp
 
@@ -64,35 +68,22 @@ class HolClassId(NamedTuple):
 
 
 def hol_class_id(g: AffineMapZ) -> HolClassId:
-    """Minimal member of the orbit {(1-a)z + c*b} as the class label."""
-    m = g.m
-    if g.b == 0:
-        return HolClassId(m, g.a, 0)
-    step = math.gcd((1 - g.a) % m, m)
-    best = min((w + c * g.b) % m
-               for w in range(0, m, step)
-               for c in units(m))
-    return HolClassId(m, g.a, best)
+    """Minimal member of the orbit {(1-a)z + c*b} as the class label.
+
+    With step = gcd(1-a, m) the minimum is gcd(b, step), or 0 when
+    step | b: modulo step the orbit is {x : gcd(x, step) = gcd(b, step)},
+    since units mod m map onto units mod step.
+    """
+    step = math.gcd((1 - g.a) % g.m, g.m)
+    b_canon = math.gcd(g.b, step)
+    return HolClassId(g.m, g.a, 0 if b_canon == step else b_canon)
 
 
 def hol_conjugate(g: AffineMapZ, h: AffineMapZ) -> bool:
-    """Conjugacy in Hol(Z/mZ), decided prime power by prime power."""
+    """Conjugacy in Hol(Z/mZ): equal class ids."""
     if g.m != h.m:
         raise ValueError(f"modulus mismatch: {g.m} vs {h.m}")
-    for p, k in factorize(g.m):
-        pk = p**k
-        if (g.a - h.a) % pk != 0:
-            return False
-        ideal_val = nu_cap(p, k, (1 - g.a) % pk)
-        x_val = nu_cap(p, k, g.b % pk)
-        y_val = nu_cap(p, k, h.b % pk)
-        x_in = x_val >= ideal_val
-        y_in = y_val >= ideal_val
-        if x_in != y_in:
-            return False
-        if not x_in and x_val != y_val:
-            return False
-    return True
+    return hol_class_id(g) == hol_class_id(h)
 
 
 def conjugacy_invariant(g: WreathElem, mode: str = "W"):

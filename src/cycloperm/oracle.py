@@ -17,6 +17,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .arith import phi, units
+from .conjugacy import HolClassId
 from .cycle_index import CycleIndex, CycleType
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
@@ -196,6 +197,21 @@ def ci_brute(elements, size: int | None = None) -> CycleIndex:
     if size is not None and size != total:
         raise ValueError(f"expected {size} elements, saw {total}")
     return CycleIndex({ct: Fraction(n, total) for ct, n in tally.items()})
+
+
+def hol_class_id_brute(g: AffineMapZ) -> HolClassId:
+    """Hol(Z/mZ) class id by search: the least member of the orbit
+    {(1-a)z + c*b}, over w = (1-a)z in steps of gcd(1-a, m) and over
+    all units c."""
+    m = g.m
+    if g.b == 0:
+        return HolClassId(m, g.a, 0)
+    step = math.gcd((1 - g.a) % m, m)
+    unit_list = units(m)
+    best = min((w + c * g.b) % m
+               for w in range(0, m, step)
+               for c in unit_list)
+    return HolClassId(m, g.a, best)
 
 
 def conjugate_brute(g, h, group_elements) -> bool:

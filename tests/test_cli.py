@@ -192,6 +192,17 @@ def test_conjugate_hol_table_pair(capsys):
     assert "distinguished_by: translation-orbit" in out
 
 
+def test_conjugate_hol_huge_modulus_class_ids(capsys):
+    m = 4 * (10**6 + 3) * (10**6 + 33)
+    code, out = run(capsys, "conjugate", "--group", "hol", f"lam(-1,5)@{m}",
+                    f"lam(-1,2)@{m}", "--format", "structured")
+    assert code == 0
+    assert json.loads(out) == {
+        "status": "ok", "conjugate": False,
+        "distinguished_by": "translation-orbit",
+        "class_ids": [str((m, m - 1, 1)), str((m, m - 1, 0))]}
+
+
 def test_conjugate_self(capsys):
     code, out = run(capsys, "conjugate", "--group", "w",
                     "((0,1); lam(5,1)@12, lam(7,2)@12)",

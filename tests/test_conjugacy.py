@@ -18,7 +18,12 @@ from cycloperm.conjugacy import (
     reps_as_cyclotomic,
     wreath_conjugate,
 )
-from cycloperm.oracle import conjugate_brute, enumerate_group, materialize
+from cycloperm.oracle import (
+    conjugate_brute,
+    enumerate_group,
+    hol_class_id_brute,
+    materialize,
+)
 from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem
 
 
@@ -54,6 +59,32 @@ def test_hol_class_id_examples():
     assert tuple(hol_class_id(AffineMapZ(9, 2, 5))) == (9, 2, 0)
     assert tuple(hol_class_id(AffineMapZ(12, 1, 0))) == (12, 1, 0)
     assert tuple(hol_class_id(AffineMapZ(9, 1, 6))) == (9, 1, 3)
+
+
+def test_hol_class_id_vs_oracle_search():
+    """The closed form equals the orbit-minimum search on every element
+    of Hol(Z/mZ), 1 <= m <= 60."""
+    seen = 0
+    for m in range(1, 61):
+        for g in enumerate_group("Hol", 1, m):
+            assert hol_class_id(g) == hol_class_id_brute(g), g
+            seen += 1
+    assert seen == 44231
+
+
+# For lam(-1, b) at this modulus the orbit search would visit
+# m/2 * phi(m), about 4 * 10^24 candidates
+HUGE_M = 4 * (10**6 + 3) * (10**6 + 33)
+
+
+def test_hol_class_id_at_huge_modulus():
+    odd = AffineMapZ.parse(f"lam(-1,5)@{HUGE_M}")
+    even = AffineMapZ.parse(f"lam(-1,2)@{HUGE_M}")
+    assert hol_class_id(odd) == (HUGE_M, HUGE_M - 1, 1)
+    assert hol_class_id(even) == (HUGE_M, HUGE_M - 1, 0)
+    assert not hol_conjugate(odd, even)
+    assert hol_conjugate(odd, AffineMapZ(HUGE_M, -1, 7))
+    assert hol_conjugate(even, AffineMapZ(HUGE_M, -1, 0))
 
 
 @pytest.mark.parametrize("m", list(range(1, 25)))
