@@ -21,14 +21,12 @@ from .cycle_index import (
     ci_hol,
     ci_hol_pp,
     ci_regular,
-    ci_stretch,
     ci_sym,
     polya_compose,
     signature_count,
     signature_of,
     signature_pow,
     signatures_pp,
-    star_product,
 )
 from .field import CyclotomicContext, FqConfig, FqElem, dlog, make_field
 from .forms import (

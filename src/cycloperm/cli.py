@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from collections import Counter
 
 from .arith import factorize
 from .conjugacy import (
@@ -23,7 +21,6 @@ from .conjugacy import (
     reps_as_cyclotomic,
 )
 from .cycle_index import (
-    CycleIndex,
     ci_cp,
     ci_focp,
     ci_gcp,
@@ -44,7 +41,7 @@ from .forms import (
 )
 from .oracle import (
     DEFAULT_CAP,
-    ExplicitPerm,
+    check_rep_system,
     ci_brute,
     enumerate_group,
     group_order,
@@ -210,49 +207,34 @@ def cmd_cycle_index(args) -> int:
         if args.d is None:
             raise CommandError("need --d for sym")
         ci = ci_sym(args.d)
-        brute = _sym_brute(args.d) if args.verify else None
+        brute_group = ("W1", args.d, 1)  # Sym(d) is W1(d, 1)
     elif group in ("hol", "reg"):
         if args.m is None:
             raise CommandError(f"need --m for {group}")
         ci = ci_hol(args.m) if group == "hol" else ci_regular(args.m)
-        if args.verify:
-            if group == "hol":
-                brute = ci_brute(enumerate_group("Hol", 1, args.m, args.cap))
-            else:
-                brute = ci_brute(
-                    (AffineMapZ(args.m, 1, b) for b in range(args.m)))
-        else:
-            brute = None
+        # the regular representation of Z/mZ is W1(1, m)
+        brute_group = ("Hol" if group == "hol" else "W1", 1, args.m)
     else:
         d, m = _reconcile_dm(args)
-        wreath_group = {"gcp": "W", "focp": "W1", "cp": "Weq",
-                        "wreath-brute": "W"}[group]
+        brute_group = ({"gcp": "W", "focp": "W1", "cp": "Weq",
+                        "wreath-brute": "W"}[group], d, m)
         if group == "wreath-brute":
-            ci = ci_brute(enumerate_group("W", d, m, args.cap),
-                          group_order("W", d, m))
-            brute = ci_gcp(d, m) if args.verify else None
+            ci = ci_brute(enumerate_group(*brute_group, args.cap),
+                          group_order(*brute_group))
         else:
             ci = {"gcp": ci_gcp, "focp": ci_focp, "cp": ci_cp}[group](d, m)
-            brute = ci_brute(enumerate_group(wreath_group, d, m, args.cap),
-                             group_order(wreath_group, d, m)) \
-                if args.verify else None
     payload = {"status": "ok", "group": group, "cycle_index": str(ci),
                "terms": len(ci.terms), "degree": ci.degree()}
-    if brute is not None:
+    if args.verify:
+        if group == "wreath-brute":
+            brute = ci_gcp(d, m)
+        else:
+            brute = ci_brute(enumerate_group(*brute_group, args.cap),
+                             group_order(*brute_group))
         if ci != brute:
             raise CommandError("cycle index disagrees with brute force")
         payload["verified"] = True
     return _emit(args, payload)
-
-
-def _sym_brute(d):
-    import itertools
-    from fractions import Fraction
-    tally = Counter()
-    for images in itertools.permutations(range(d)):
-        tally[ExplicitPerm(images).cycle_type()] += 1
-    total = math.factorial(d)
-    return CycleIndex({ct: Fraction(n, total) for ct, n in tally.items()})
 
 
 def cmd_reps(args) -> int:
@@ -266,7 +248,7 @@ def cmd_reps(args) -> int:
         payload = {"status": "ok", "group": group, "kind": kind,
                    "count": len(lines), "rep": lines}
         if args.verify:
-            _verify_rep_system(system, args.cap)
+            check_rep_system(system, args.cap)
             payload["verified"] = True
         return _emit(args, payload)
     if group in ("gcp", "focp", "cp"):
@@ -283,28 +265,10 @@ def cmd_reps(args) -> int:
                    "count": len(lines), "rep": lines}
         if args.verify:
             wname = {"gcp": "W", "focp": "W1", "cp": "Weq"}[group]
-            _verify_rep_system(rep_system(wname, kind, ctx.d, ctx.m), args.cap)
+            check_rep_system(rep_system(wname, kind, ctx.d, ctx.m), args.cap)
             payload["verified"] = True
         return _emit(args, payload)
     raise CommandError(f"unknown group {group!r}")
-
-
-def _verify_rep_system(system, cap):
-    """Oracle completeness: every element of the kind matches exactly one rep."""
-    from .conjugacy import is_involution_elem, is_long_cycle
-    mode = "Weq" if system.group == "Weq" else "W"
-    predicate = is_long_cycle if system.kind == "long-cycle" else is_involution_elem
-    invariants = [conjugacy_invariant(g, mode) for g in system.reps]
-    if len(set(invariants)) != len(invariants):
-        raise CommandError("representatives are not pairwise non-conjugate")
-    for g in system.reps:
-        if not predicate(g):
-            raise CommandError(f"representative {g} lacks the claimed property")
-    for g in enumerate_group(system.group, system.d, system.m, cap):
-        if predicate(g):
-            inv = conjugacy_invariant(g, mode)
-            if sum(1 for i in invariants if i == inv) != 1:
-                raise CommandError(f"element {g} matches != 1 representative")
 
 
 def cmd_conjugate(args) -> int:

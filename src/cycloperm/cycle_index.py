@@ -9,9 +9,13 @@ coefficients sum to the set's cardinality).
 
 Implemented here:
 
-* the cycle indices of Sym(d), of the regular representation of Z/mZ,
-  and of the holomorph Hol(Z/p^kZ) (closed formulas), assembled to
-  Hol(Z/mZ) with the star product along the CRT splitting;
+* one case table, cycle_type_pp: the cycle type of x -> ax + b on
+  Z/p^kZ from the "unit signature" of a (its order data) and
+  min(nu_p(b), k).  Summed per element, per signature and per group it
+  gives wreath.cycle_type_affine, affine_counter_pp and ci_hol_pp;
+* the cycle indices of Sym(d), of the regular representation of Z/mZ
+  and of Hol(Z/mZ), the last assembled with the star product along the
+  CRT splitting;
 * the star product on cycle-type polynomials, which computes cycle
   types/indices of direct products of permutation groups:
   x_i^e * x_j^f -> x_lcm(i,j)^(e*f*gcd(i,j)), extended bilinearly;
@@ -20,8 +24,8 @@ Implemented here:
   W(d,m) and W1(d,m) of wreath elements over Hol(Z/mZ) resp. the
   translations only;
 * the equal-multiplier subgroup W=(d,m): its cycle index is assembled
-  from per-multiplier cycle counters, grouped by the "unit signature"
-  of the multiplier (its order data per prime power).
+  from per-multiplier cycle counters, grouped by the unit signature
+  of the multiplier.
 
 All coefficients are exact Fractions; no floating point anywhere.
 """
@@ -33,14 +37,13 @@ import math
 import re
 from fractions import Fraction
 
-from .arith import divisors, factorize, multiplicative_order, nu, phi
+from .arith import divisors, factorize, multiplicative_order, nu, nu_cap, phi
 
-# A unit signature mod p^k: for odd p (and p^0 = 1) a positive divisor of
-# phi(p^k); for p = 2, k >= 1 a pair (eps, o2) with eps in {0,1} and o2 a
-# power of 2 dividing max(1, 2^(k-2)).  A signature vector pairs each
-# prime power of m with its signature: tuple of (p, k, sig).
-Signature = "int | tuple[int, int]"
-SignatureVec = "tuple[tuple[int, int, object], ...]"
+# A unit signature mod p^k: for odd p (and p^0 = 1) the order of the unit,
+# a positive divisor of phi(p^k); for p = 2 a pair (eps, o2) with the unit
+# = (-1)^eps * 5^e and o2 the order of 5^e, a power of 2 dividing
+# max(1, 2^(k-2)).  A signature vector pairs each prime power of m with
+# its signature: tuple of (p, k, sig).
 
 
 class CycleType:
@@ -247,14 +250,6 @@ class CycleIndex:
         return out
 
 
-def star_product(f: CycleIndex, g: CycleIndex) -> CycleIndex:
-    return f.star(g)
-
-
-def ci_stretch(f: CycleIndex, t: int) -> CycleIndex:
-    return f.stretch(t)
-
-
 def partitions_multiplicity(d: int):
     """Partitions of d in multiplicity form: dicts {part: multiplicity}."""
 
@@ -301,63 +296,15 @@ def ci_regular(m: int) -> CycleIndex:
 
 
 def ci_hol_pp(p: int, k: int) -> CycleIndex:
-    """Cycle index of Hol(Z/p^kZ), by the closed formulas per parity of p.
-
-    The coefficient of x_{2^k} for p = 2, k >= 3 is 2^(2k-3): the affine
-    map ax+b is a full cycle iff a = 1 (mod 4) and b is odd, giving
-    2^(k-2) * 2^(k-1) elements.
-    """
+    """Cycle index of Hol(Z/p^kZ): cycle_type_pp averaged over the units
+    (grouped by signature) and the translations (grouped by valuation)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    q = p**k
-    out = CycleIndex()
-    if p > 2:
-        group_order = p ** (2 * k - 1) * (p - 1)
-        for w in range(1, k + 1):
-            out._add_term(CycleType([(p**w, p ** (k - w))]),
-                          Fraction(p ** (2 * w - 2) * (p - 1), group_order))
-        for w in range(k):
-            ct = {1: p ** (k - w)}
-            for u in range(1, w + 1):
-                ct[p**u] = p ** (k - w - 1) * (p - 1)
-            out._add_term(CycleType(ct), Fraction(phi(p**w) * p**w, group_order))
-        for w in range(k):
-            for l in divisors(p - 1):
-                if l == 1:
-                    continue
-                ct = {1: 1, l: (p ** (k - w) - 1) // l}
-                for u in range(1, w + 1):
-                    ct[l * p**u] = p ** (k - 1 - w) * (p - 1) // l
-                out._add_term(CycleType(ct),
-                              Fraction(p**k * phi(p**w) * phi(l), group_order))
-        return out
-    if k == 1:
-        return CycleIndex([(CycleType([(1, 2)]), Fraction(1, 2)),
-                           (CycleType([(2, 1)]), Fraction(1, 2))])
-    if k == 2:
-        return CycleIndex([(CycleType([(1, 4)]), Fraction(1, 8)),
-                           (CycleType([(1, 2), (2, 1)]), Fraction(1, 4)),
-                           (CycleType([(2, 2)]), Fraction(3, 8)),
-                           (CycleType([(4, 1)]), Fraction(1, 4))])
-    group_order = 2 ** (2 * k - 1)
-    out._add_term(CycleType([(q, 1)]), Fraction(2 ** (2 * k - 3), group_order))
-    for w in range(1, k):
-        coeff = 2 ** (2 * w - 2) + phi(2 ** (w - 1)) * 2 ** (k - 1)
-        out._add_term(CycleType([(2**w, 2 ** (k - w))]),
-                      Fraction(coeff, group_order))
-    for w in range(k - 1):
-        ct = {1: 2 ** (k - w)}
-        for u in range(1, w + 1):
-            ct[2**u] = 2 ** (k - 1 - w)
-        out._add_term(CycleType(ct), Fraction(phi(2**w) * 2**w, group_order))
-    out._add_term(CycleType({1: 2, 2: 2 ** (k - 1) - 1}),
-                  Fraction(2**k, group_order))
-    for w in range(2, k - 1):
-        ct = {1: 2, 2: 2 ** (k - w) - 1}
-        for u in range(2, w + 1):
-            ct[2**u] = 2 ** (k - 1 - w)
-        out._add_term(CycleType(ct), Fraction(2 ** (k + w - 2), group_order))
-    return out
+    counts: dict[CycleType, int] = {}
+    for sig in signatures_pp(p, k):
+        _count_affine(p, k, sig, signature_count(p**k, ((p, k, sig),)), counts)
+    order = p**k * phi(p**k)
+    return CycleIndex({ct: Fraction(n, order) for ct, n in counts.items()})
 
 
 def ci_hol(m: int) -> CycleIndex:
@@ -392,7 +339,7 @@ def ci_focp(d: int, m: int) -> CycleIndex:
     return polya_compose(ci_sym(d), ci_regular(m))
 
 
-# -- equal-multiplier subgroup ------------------------------------------------
+# -- unit signatures, the affine case table, equal-multiplier subgroup -------
 
 def signatures_pp(p: int, k: int) -> list:
     """All unit signatures mod p^k, deterministically ordered.
@@ -408,49 +355,25 @@ def signatures_pp(p: int, k: int) -> list:
     return divisors(phi(p**k))
 
 
-def two_adic_split(a: int, k: int) -> tuple[int, int]:
-    """Write the unit a of Z/2^kZ (k >= 2) as (-1)^eps * 5^e; return (eps, e).
-
-    eps is read off a mod 4; e is recovered by baby-step giant-step in the
-    subgroup generated by 5, which has order 2^(k-2).
-    """
-    q = 2**k
-    if a % 2 == 0:
-        raise ValueError(f"{a} is not a unit mod 2^{k}")
-    eps = 0 if a % 4 == 1 else 1
-    target = (-a) % q if eps else a % q
-    n = 2 ** (k - 2)
-    baby = {}
-    acc = 1
-    bound = math.isqrt(n - 1) + 1 if n > 1 else 1
-    for j in range(bound):
-        baby.setdefault(acc, j)
-        acc = acc * 5 % q
-    giant = pow(pow(5, bound, q), -1, q)
-    cur = target
-    for i in range(bound + 1):
-        if cur in baby:
-            return eps, (i * bound + baby[cur]) % n
-        cur = cur * giant % q
-    raise ValueError(f"{a} mod 2^{k} is not +/- a power of 5")
-
-
 def signature_of(m: int, a: int) -> tuple:
-    """Unit signature vector of a mod m: ((p, k, sig), ...) per prime power."""
+    """Unit signature vector of a mod m: ((p, k, sig), ...) per prime power.
+
+    Mod 2^k, k >= 2: eps = [a = 3 mod 4], and as nu_2(5^e - 1) = 2 + nu_2(e),
+    5^e = (-1)^eps * a has order 2^(k - min(k, nu_2((-1)^eps * a - 1))).
+    """
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
     out = []
     for p, k in factorize(m):
         pk = p**k
-        if p == 2:
-            if k == 1:
-                out.append((p, k, (0, 1)))
-            else:
-                eps, e = two_adic_split(a % pk, k)
-                o2 = multiplicative_order(pow(5, e, pk), pk) if e else 1
-                out.append((p, k, (eps, o2)))
-        else:
+        if p > 2:
             out.append((p, k, multiplicative_order(a % pk, pk)))
+        elif k == 1:
+            out.append((p, k, (0, 1)))
+        else:
+            eps = 1 if a % 4 == 3 else 0
+            five_e = (-a if eps else a) % pk
+            out.append((p, k, (eps, 2 ** (k - nu_cap(2, k, five_e - 1)))))
     return tuple(out)
 
 
@@ -471,67 +394,65 @@ def signature_count(m: int, sigvec) -> int:
     return out
 
 
+def cycle_type_pp(p: int, k: int, sig, v: int) -> CycleType:
+    """Cycle type of x -> ax + b on Z/p^kZ, for a unit a of signature sig
+    and v = min(nu_p(b), k): the one affine case table.
+
+    * a = 1 mod p (mod 4 if p = 2), of order p^s, so nu_p(a-1) = t = k-s:
+      p^v cycles of length p^(k-v) if v < t, else (as for x -> ax) p^t
+      fixed points and p^(t-1)(p-1) cycles of each length p^u, u <= s;
+    * odd p, a of order o' * p^s with 1 < o' | p-1: as x -> ax for all b;
+    * p = 2, a = -5^e with 5^e of order o2: cycles of length 2*o2 for odd
+      b; for even b, with o = max(2, o2) the order of a, 2 fixed points,
+      2^k/o - 1 two-cycles and 2^(k-1)/o cycles of each length 2^u,
+      2 <= u <= nu_2(o).
+    """
+    q = p**k
+    if p == 2:
+        eps, o2 = sig
+        if eps:
+            if v == 0:
+                return CycleType([(2 * o2, q // (2 * o2))])
+            o = max(2, o2)
+            ct = {1: 2, 2: q // o - 1}
+            for u in range(2, nu(2, o) + 1):
+                ct[2**u] = q // (2 * o)
+            return CycleType(ct)
+        s = nu(2, o2)
+    else:
+        s = nu(p, sig)
+        o_prime = sig // p**s
+        if o_prime > 1:
+            ct = {1: 1, o_prime: (p ** (k - s) - 1) // o_prime}
+            for u in range(1, s + 1):
+                ct[o_prime * p**u] = p ** (k - 1 - s) * (p - 1) // o_prime
+            return CycleType(ct)
+    t = k - s
+    if v < t:
+        return CycleType([(p ** (k - v), p**v)])
+    ct = {1: p**t}
+    for u in range(1, s + 1):
+        ct[p**u] = p ** (t - 1) * (p - 1)
+    return CycleType(ct)
+
+
+def _count_affine(p: int, k: int, sig, weight: int, counts: dict) -> dict:
+    """Add to counts weight times the number of b mod p^k giving each cycle
+    type of x -> ax + b, a of signature sig (phi(p^(k-v)) values of b have
+    min(nu_p(b), k) = v)."""
+    for v in range(k + 1):
+        ct = cycle_type_pp(p, k, sig, v)
+        counts[ct] = counts.get(ct, 0) + weight * phi(p ** (k - v))
+    return counts
+
+
 def affine_counter_pp(p: int, k: int, sig) -> CycleIndex:
     """Cycle counter of {x -> ax+b : b in Z/p^kZ} for any unit a with the
     given signature.  Coefficients sum to p^k; degree p^k.
     """
     if sig not in signatures_pp(p, k):
         raise ValueError(f"{sig} is not a valid signature mod {p}^{k}")
-    q = p**k
-    out = CycleIndex()
-    if p > 2:
-        o = sig
-        nu_o = nu(p, o) if o > 1 else 0
-        o_part = p**nu_o
-        o_prime = o // o_part
-        if o_prime > 1:  # a is not 1 mod p: one cycle type for all b
-            ct = {1: 1, o_prime: (p ** (k - nu_o) - 1) // o_prime}
-            for u in range(1, nu_o + 1):
-                length = p**u * o_prime
-                ct[length] = ct.get(length, 0) + \
-                    p ** (k - 1 - nu_o) * (p - 1) // o_prime
-            out._add_term(CycleType(ct), Fraction(q))
-            return out
-        # a = 1 mod p (o is a power of p)
-        ct = {1: q // o}
-        for u in range(1, nu_o + 1):
-            ct[p**u] = (p ** (k - 1) // o) * (p - 1)
-        out._add_term(CycleType(ct), Fraction(o))
-        for v in range(k - nu_o):
-            out._add_term(CycleType([(p ** (k - v), p**v)]),
-                          Fraction(phi(p ** (k - v))))
-        return out
-    if k == 0:
-        return CycleIndex.of(CycleType([(1, 1)]))
-    if k == 1:
-        return CycleIndex([(CycleType([(1, 2)]), Fraction(1)),
-                           (CycleType([(2, 1)]), Fraction(1))])
-    eps, o2 = sig
-    if k == 2:
-        if eps == 0:
-            return CycleIndex([(CycleType([(1, 4)]), Fraction(1)),
-                               (CycleType([(2, 2)]), Fraction(1)),
-                               (CycleType([(4, 1)]), Fraction(2))])
-        return CycleIndex([(CycleType([(1, 2), (2, 1)]), Fraction(2)),
-                           (CycleType([(2, 2)]), Fraction(2))])
-    v = k - 2 - nu(2, o2) if o2 > 1 else k - 2
-    v_cap = min(k - 3, v)
-    if eps == 1:
-        out._add_term(CycleType([(2 ** (k - 1 - v), 2 ** (1 + v))]),
-                      Fraction(2 ** (k - 1)))
-        ct = {1: 2, 2: 2 ** (2 + v_cap) - 1}
-        for u in range(2, k - 2 - v_cap + 1):
-            ct[2**u] = 2 ** (1 + v_cap)
-        out._add_term(CycleType(ct), Fraction(2 ** (k - 1)))
-        return out
-    ct = {1: 2 ** (2 + v)}
-    for u in range(1, k - 2 - v + 1):
-        ct[2**u] = 2 ** (1 + v)
-    out._add_term(CycleType(ct), Fraction(2 ** (k - 2 - v)))
-    for w in range(2 + v):
-        out._add_term(CycleType([(2 ** (k - w), 2**w)]),
-                      Fraction(phi(2 ** (k - w))))
-    return out
+    return CycleIndex(_count_affine(p, k, sig, 1, {}))
 
 
 def affine_counter(m: int, sigvec, ell: int) -> CycleIndex:
@@ -561,8 +482,8 @@ def ci_cp(d: int, m: int) -> CycleIndex:
     if d < 1 or m < 1:
         raise ValueError("need d, m >= 1")
     sym = ci_sym(d)
-    per_prime = [signatures_pp(p, k) for p, k in factorize(m)]
     primes = factorize(m)
+    per_prime = [signatures_pp(p, k) for p, k in primes]
     total = CycleIndex()
     for combo in itertools.product(*per_prime):
         sigvec = tuple((p, k, sig) for (p, k), sig in zip(primes, combo))

@@ -167,9 +167,6 @@ class FqConfig:
         """Image of the integer n under Z -> F_q."""
         return FqElem(self, (n,) + (0,) * (self.k - 1))
 
-    def omega_pow(self, e: int) -> FqElem:
-        return self.omega**e
-
     def elements(self):
         """All q elements (coefficient-vector order)."""
         import itertools

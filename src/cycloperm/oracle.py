@@ -17,7 +17,12 @@ from collections import Counter
 from fractions import Fraction
 
 from .arith import phi, units
-from .conjugacy import HolClassId
+from .conjugacy import (
+    HolClassId,
+    conjugacy_invariant,
+    is_involution_elem,
+    is_long_cycle,
+)
 from .cycle_index import CycleIndex, CycleType
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
@@ -127,10 +132,6 @@ def materialize(obj) -> ExplicitPerm:
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 
 
-def cycle_type_of(perm: ExplicitPerm) -> CycleType:
-    return perm.cycle_type()
-
-
 def group_order(group: str, d: int, m: int) -> int:
     hol = phi(m) * m
     return {
@@ -212,6 +213,32 @@ def hol_class_id_brute(g: AffineMapZ) -> HolClassId:
                for w in range(0, m, step)
                for c in unit_list)
     return HolClassId(m, g.a, best)
+
+
+def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
+    """Completeness of a representative system, by enumerating its group.
+
+    Raises ValueError unless every rep has the claimed property, no two
+    reps are conjugate, every element of that kind is conjugate to
+    exactly one rep, and every rep's class has an element in the group.
+    """
+    mode = "Weq" if system.group == "Weq" else "W"
+    predicate = is_long_cycle if system.kind == "long-cycle" else is_involution_elem
+    for g in system.reps:
+        if not predicate(g):
+            raise ValueError(f"representative {g} lacks the claimed property")
+    index = {conjugacy_invariant(g, mode): i for i, g in enumerate(system.reps)}
+    if len(index) != len(system.reps):
+        raise ValueError("representatives are not pairwise non-conjugate")
+    matched = set()
+    for g in enumerate_group(system.group, system.d, system.m, cap):
+        if predicate(g):
+            i = index.get(conjugacy_invariant(g, mode))
+            if i is None:
+                raise ValueError(f"element {g} matches no representative")
+            matched.add(i)
+    if len(matched) != len(system.reps):
+        raise ValueError("a representative's class has no group element")
 
 
 def conjugate_brute(g, h, group_elements) -> bool:

@@ -11,13 +11,13 @@ Conventions (used consistently everywhere):
 * cycles are written with their minimal element first and listed in
   increasing order of that minimal element.
 
-The cycle type of an affine map of Z/mZ is computed exactly: split mod
-the prime powers of m (CRT), read the per-power type off the closed
-case tables (three cases mod odd p^k; for 2^k the unit is decomposed
-as (-1)^eps 5^e and there are eight cases), and recombine with the
-star product.  The cycle type of a wreath element is the product over
-the cycles of psi of the (cycle-length)-stretched type of the forward
-cycle product along that cycle.
+The cycle type of an affine map x -> ax + b of Z/mZ is computed
+exactly: split mod the prime powers p^k of m (CRT), read each per-power
+type off the single case table cycle_index.cycle_type_pp, which needs
+only the unit signature of a and min(nu_p(b), k), and recombine with
+the star product.  The cycle type of a wreath element is the product
+over the cycles of psi of the (cycle-length)-stretched type of the
+forward cycle product along that cycle.
 
 Switching between a wreath element over C and the cyclotomic form of
 the permutation it induces on F_q^* is the group isomorphism behind
@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 import re
 
-from .arith import aord, factorize, multiplicative_order, nu_cap, rem1
-from .cycle_index import CycleType, two_adic_split
+from .arith import nu_cap, rem1
+from .cycle_index import CycleType, cycle_type_pp, signature_of
 from .field import CyclotomicContext, FqElem, dlog
 
 
@@ -394,68 +394,11 @@ def fcp(g: WreathElem, cycle) -> "AffineMapZ | AffineMapC":
 
 
 def cycle_type_affine(g: AffineMapZ) -> CycleType:
-    """Exact cycle type on Z/mZ: per-prime-power case tables, star-combined."""
+    """Exact cycle type on Z/mZ: cycle_type_pp per prime power, star-combined."""
     out = CycleType([(1, 1)])
-    for p, k in factorize(g.m):
-        pk = p**k
-        out = out.star(_cycle_type_pp(p, k, g.a % pk, g.b % pk))
+    for p, k, sig in signature_of(g.m, g.a):
+        out = out.star(cycle_type_pp(p, k, sig, nu_cap(p, k, g.b)))
     return out
-
-
-def _cycle_type_pp(p: int, k: int, a: int, b: int) -> CycleType:
-    pk = p**k
-    if p > 2:
-        if a % p != 1:
-            o = multiplicative_order(a, pk)
-            nu_o = 0
-            oo = o
-            while oo % p == 0:
-                oo //= p
-                nu_o += 1
-            o_prime = oo
-            ct = {1: 1, o_prime: (p ** (k - nu_o) - 1) // o_prime}
-            for s in range(1, nu_o + 1):
-                length = o_prime * p**s
-                ct[length] = ct.get(length, 0) + \
-                    p ** (k - 1 - nu_o) * (p - 1) // o_prime
-            return CycleType(ct)
-        t = nu_cap(p, k, (a - 1) % pk)
-        if nu_cap(p, k, b) >= t:
-            ct = {1: p**t}
-            for s in range(1, k - t + 1):
-                ct[p**s] = p ** (t - 1) * (p - 1)
-            return CycleType(ct)
-        o = aord(b, pk)
-        return CycleType([(o, pk // o)])
-    if k == 1:
-        o = aord(b, 2)
-        return CycleType([(o, 2 // o)])
-    if k == 2:
-        if a == 1:
-            o = aord(b, 4)
-            return CycleType([(o, 4 // o)])
-        if b % 2 == 0:
-            return CycleType([(1, 2), (2, 1)])
-        return CycleType([(2, 2)])
-    eps, e = two_adic_split(a, k)
-    if eps == 1:
-        if b % 2 == 1:
-            v = nu_cap(2, k - 2, e)
-            return CycleType([(2 ** (k - 1 - v), 2 ** (1 + v))])
-        v = nu_cap(2, k - 3, e)
-        ct = {1: 2, 2: 2 ** (2 + v) - 1}
-        for s in range(2, k - 2 - v + 1):
-            ct[2**s] = 2 ** (1 + v)
-        return CycleType(ct)
-    t = nu_cap(2, k, (a - 1) % pk)
-    if nu_cap(2, k, b) < t:
-        o = aord(b, pk)
-        return CycleType([(o, pk // o)])
-    v = nu_cap(2, k - 2, e)
-    ct = {1: 2 ** (2 + v)}
-    for s in range(1, k - 2 - v + 1):
-        ct[2**s] = 2 ** (1 + v)
-    return CycleType(ct)
 
 
 def cycle_type_wreath(g: WreathElem) -> CycleType:

@@ -141,6 +141,20 @@ def test_cycle_index_verify_modes(capsys):
         assert "verified: true" in out
 
 
+def test_cycle_index_sym_verify_respects_cap(capsys):
+    """11! = 39916800 permutations exceed the default cap of 10^7: the
+    brute-force check refuses at once instead of enumerating them."""
+    code, out = run(capsys, "cycle-index", "--group", "sym", "--d", "11",
+                    "--verify")
+    assert code == 1
+    assert "status: error" in out
+    assert "exceeds the cap 10000000" in out
+    code, out = run(capsys, "cycle-index", "--group", "sym", "--d", "4",
+                    "--verify", "--cap", "23")
+    assert code == 1
+    assert "exceeds the cap 23" in out
+
+
 def test_cycle_index_param_conflict(capsys):
     code, out = run(capsys, "cycle-index", "--group", "gcp", "--q", "25",
                     "--d", "2", "--m", "11")

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import Counter
 
 import pytest
 
@@ -19,6 +18,7 @@ from cycloperm.conjugacy import (
     wreath_conjugate,
 )
 from cycloperm.oracle import (
+    check_rep_system,
     conjugate_brute,
     enumerate_group,
     hol_class_id_brute,
@@ -291,21 +291,22 @@ def test_rep_system_complete(group, kind, dm):
     """Each rep has the claimed property; reps pairwise non-conjugate;
     every group element of that kind matches exactly one rep."""
     d, m = dm
-    system = rep_system(group, kind, d, m)
-    mode = "Weq" if group == "Weq" else "W"
-    predicate = is_long_cycle if kind == "long-cycle" else is_involution_elem
-    for g in system.reps:
-        assert predicate(g), f"{g} lacks the claimed property"
-    invariants = [conjugacy_invariant(g, mode) for g in system.reps]
-    assert len(set(invariants)) == len(invariants), "reps are conjugate"
-    matched = Counter()
-    for g in enumerate_group(group, d, m):
-        if predicate(g):
-            inv = conjugacy_invariant(g, mode)
-            hits = [i for i, ri in enumerate(invariants) if ri == inv]
-            assert len(hits) == 1, f"{g} matches {len(hits)} reps"
-            matched[hits[0]] += 1
-    assert all(matched[i] >= 1 for i in range(len(system.reps)))
+    check_rep_system(rep_system(group, kind, d, m))
+
+
+@pytest.mark.parametrize("fault", ("dropped", "duplicated", "no property"))
+def test_rep_system_check_rejects_broken_systems(fault):
+    system = rep_system("W", "involution", 2, 6)
+    check_rep_system(system)
+    not_involution = rep_system("W", "long-cycle", 2, 6).reps[0]
+    reps, message = {
+        "dropped": (system.reps[1:], "matches no representative"),
+        "duplicated": (system.reps + system.reps[:1], "non-conjugate"),
+        "no property": (system.reps[:-1] + (not_involution,),
+                        "lacks the claimed property"),
+    }[fault]
+    with pytest.raises(ValueError, match=message):
+        check_rep_system(system._replace(reps=reps))
 
 
 def test_reps_as_cyclotomic_focp_long_cycle(ctx_cache):

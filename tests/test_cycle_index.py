@@ -19,15 +19,12 @@ from cycloperm.cycle_index import (
     ci_hol,
     ci_hol_pp,
     ci_regular,
-    ci_stretch,
     ci_sym,
     polya_compose,
     signature_count,
     signature_of,
     signature_pow,
     signatures_pp,
-    star_product,
-    two_adic_split,
 )
 from cycloperm.oracle import ExplicitPerm, ci_brute, enumerate_group, group_order
 from cycloperm.wreath import AffineMapZ
@@ -108,6 +105,19 @@ def test_ci_hol_pp_examples():
     assert ci_hol_pp(2, 1) == GOLD_HOL2
 
 
+@pytest.mark.parametrize("k", [3, 8, 20, 40])
+def test_ci_hol_pp_full_cycle_coefficient(k):
+    """ax+b is a full cycle mod 2^k (k >= 3) iff a = 1 (mod 4) and b is
+    odd: 2^(k-2) * 2^(k-1) of the 2^(2k-1) elements of Hol(Z/2^kZ)."""
+    assert ci_hol_pp(2, k).terms[CycleType([(2**k, 1)])] == Fraction(1, 4)
+
+
+def test_ci_hol_is_ci_cp_with_one_copy():
+    """W=(1,m) is Hol(Z/mZ), so both formulas give one cycle index."""
+    for m in range(1, 61):
+        assert ci_hol(m) == ci_cp(1, m), m
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5),
                                  (3, 1), (3, 2), (3, 3), (5, 1), (5, 2),
                                  (7, 1), (7, 2), (11, 1), (13, 1)])
@@ -119,17 +129,17 @@ def test_ci_hol_pp_vs_brute(p, k):
 def test_star_product_examples():
     x2_2 = CycleIndex.of(CycleType([(2, 2)]))
     x1x2 = CycleIndex.of(CycleType([(1, 1), (2, 1)]))
-    assert star_product(x2_2, x1x2) == CycleIndex.of(CycleType([(2, 6)]))
+    assert x2_2.star(x1x2) == CycleIndex.of(CycleType([(2, 6)]))
     lhs = CycleIndex.of(CycleType([(1, 1), (2, 1)]), Fraction(1, 2))
     rhs = CycleIndex.of(CycleType([(1, 2), (2, 1)]), Fraction(1, 4))
     expect = CycleIndex.of(CycleType([(1, 2), (2, 5)]), Fraction(1, 8))
-    assert star_product(lhs, rhs) == expect
+    assert lhs.star(rhs) == expect
     x3 = CycleIndex.of(CycleType([(3, 1)]))
     x4 = CycleIndex.of(CycleType([(4, 1)]))
-    assert star_product(x3, x4) == CycleIndex.of(CycleType([(12, 1)]))
+    assert x3.star(x4) == CycleIndex.of(CycleType([(12, 1)]))
     x1 = CycleIndex.of(CycleType([(1, 1)]))
     for f in (GOLD_SYM3, GOLD_HOL12, x4):
-        assert star_product(f, x1) == f
+        assert f.star(x1) == f
 
 
 def test_star_commutative_associative():
@@ -146,9 +156,8 @@ def test_star_commutative_associative():
 
     for _ in range(200):
         a, b, c = rand_ci(), rand_ci(), rand_ci()
-        assert star_product(a, b) == star_product(b, a)
-        assert star_product(star_product(a, b), c) \
-            == star_product(a, star_product(b, c))
+        assert a.star(b) == b.star(a)
+        assert a.star(b).star(c) == a.star(b.star(c))
 
 
 def test_sary_star_closed_form_on_variable_powers():
@@ -161,7 +170,7 @@ def test_sary_star_closed_form_on_variable_powers():
         exp = [rng.randrange(1, 4) for _ in range(s)]
         acc = CycleIndex.of(CycleType([(1, 1)]))
         for i, e in zip(idx, exp):
-            acc = star_product(acc, CycleIndex.of(CycleType([(i, e)])))
+            acc = acc.star(CycleIndex.of(CycleType([(i, e)])))
         lcm = math.lcm(*idx)
         expect = CycleType([(lcm, math.prod(exp) * math.prod(idx) // lcm)])
         assert acc == CycleIndex.of(expect)
@@ -183,15 +192,15 @@ def test_star_cycle_type_level_sym3_x_sym4():
             count += 1
     assert count == 144
     assert total == GOLD_SYM3_X_SYM4
-    assert star_product(ci_sym(3), ci_sym(4)) == GOLD_SYM3_X_SYM4
+    assert ci_sym(3).star(ci_sym(4)) == GOLD_SYM3_X_SYM4
 
 
 def test_ci_stretch_examples():
-    stretched = ci_stretch(GOLD_HOL12, 2)
+    stretched = GOLD_HOL12.stretch(2)
     assert stretched.terms[CycleType([(2, 12)])] == Fraction(1, 48)
     assert stretched.terms[CycleType([(2, 6), (4, 3)])] == Fraction(1, 24)
-    assert ci_stretch(GOLD_SYM3, 1) == GOLD_SYM3
-    assert ci_stretch(CycleIndex.of(CycleType([(1, 5)])), 3) \
+    assert GOLD_SYM3.stretch(1) == GOLD_SYM3
+    assert CycleIndex.of(CycleType([(1, 5)])).stretch(3) \
         == CycleIndex.of(CycleType([(3, 5)]))
 
 
@@ -253,6 +262,8 @@ def test_signature_of_examples():
     assert signature_of(12, -1) == ((2, 2, (1, 1)), (3, 1, 2))
     assert signature_of(12, 1) == ((2, 2, (0, 1)), (3, 1, 1))
     assert signature_of(8, 5) == ((2, 3, (0, 2)),)
+    # 3 = -5^e mod 2^64 with 5^e of order 2^62
+    assert signature_of(2**64, 3) == ((2, 64, (1, 2**62)),)
     with pytest.raises(ValueError):
         signature_of(12, 3)
 
@@ -270,15 +281,6 @@ def test_signature_of_matches_direct_orders():
                     assert multiplicative_order(a_prime, pk) == o2
                 elif p > 2:
                     assert multiplicative_order(a % pk, pk) == sig
-
-
-def test_two_adic_split():
-    for k in (2, 3, 4, 5, 6):
-        pk = 2**k
-        for a in units(pk):
-            eps, e = two_adic_split(a, k)
-            assert ((-1) ** eps * pow(5, e, pk)) % pk == a % pk
-            assert 0 <= e < 2 ** (k - 2) or (k == 2 and e == 0)
 
 
 def test_signature_pow_examples():

@@ -265,6 +265,13 @@ def test_cycle_type_affine_tables_vs_iteration(pk):
             assert cycle_type_affine(g) == materialize(g).cycle_type(), (pk, a, b)
 
 
+def test_cycle_type_affine_at_2_to_the_64():
+    """3x + 1 mod 2^64: a = -5^e with 5^e of order 2^62 and b odd, so two
+    cycles of length 2^63."""
+    assert cycle_type_affine(AffineMapZ(2**64, 3, 1)) \
+        == CycleType([(2**63, 2)])
+
+
 def test_cycle_type_affine_composite_vs_iteration():
     for m in (6, 10, 12, 15, 18, 20, 24, 36, 60):
         rng = random.Random(m)
