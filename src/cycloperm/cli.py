@@ -15,6 +15,7 @@ import sys
 
 from .arith import factorize
 from .conjugacy import (
+    FIELD_GROUP_TO_WREATH,
     conjugacy_invariant,
     hol_class_id,
     rep_system,
@@ -35,7 +36,6 @@ from .forms import (
     Rejected,
     analyze_permutation,
     cyclotomic_to_poly,
-    eval_cyclotomic,
     invert_permutation,
     poly_to_cyclotomic,
 )
@@ -46,6 +46,7 @@ from .oracle import (
     enumerate_group,
     group_order,
     materialize,
+    pointwise,
 )
 from .wreath import (
     AffineMapZ,
@@ -163,9 +164,11 @@ def cmd_invert(args) -> int:
     inverse = invert_permutation(analysis.form)
     payload = {"status": "ok", "inverse": str(inverse)}
     if args.verify or args.check:
-        for x in cfg.elements():
-            if inverse.eval(P.eval(x)) != x or P.eval(inverse.eval(x)) != x:
-                raise CommandError(f"composition is not the identity at {x}")
+        # both are bijections fixing 0, so inverse after P = id suffices
+        composed = materialize(P).compose(materialize(inverse))
+        if not composed.is_identity():
+            e = next(e for e, img in enumerate(composed.images) if img != e)
+            raise CommandError(f"composition is not the identity at w^{e}")
         payload["check"] = "identity-ok"
     return _emit(args, payload)
 
@@ -177,8 +180,8 @@ def cmd_to_poly(args) -> int:
     P = cyclotomic_to_poly(form)
     payload = {"status": "ok", "poly": str(P)}
     if args.verify:
-        for x in cfg.elements():
-            if P.eval(x) != eval_cyclotomic(form, x):
+        for (x, y), (_, z) in zip(pointwise(P), pointwise(form)):
+            if y != z:
                 raise CommandError(f"pointwise mismatch at {x}")
         payload["check"] = "pointwise-ok"
     return _emit(args, payload)
@@ -216,8 +219,8 @@ def cmd_cycle_index(args) -> int:
         brute_group = ("Hol" if group == "hol" else "W1", 1, args.m)
     else:
         d, m = _reconcile_dm(args)
-        brute_group = ({"gcp": "W", "focp": "W1", "cp": "Weq",
-                        "wreath-brute": "W"}[group], d, m)
+        brute_group = ("W" if group == "wreath-brute"
+                       else FIELD_GROUP_TO_WREATH[group.upper()], d, m)
         if group == "wreath-brute":
             ci = ci_brute(enumerate_group(*brute_group, args.cap),
                           group_order(*brute_group))
@@ -264,7 +267,7 @@ def cmd_reps(args) -> int:
         payload = {"status": "ok", "group": group, "kind": kind,
                    "count": len(lines), "rep": lines}
         if args.verify:
-            wname = {"gcp": "W", "focp": "W1", "cp": "Weq"}[group]
+            wname = FIELD_GROUP_TO_WREATH[group.upper()]
             check_rep_system(rep_system(wname, kind, ctx.d, ctx.m), args.cap)
             payload["verified"] = True
         return _emit(args, payload)

@@ -266,7 +266,7 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
     return RepSystem(group, kind, d, m, tuple(reps))
 
 
-_FIELD_GROUP_TO_WREATH = {"GCP": "W", "FOCP": "W1", "CP": "Weq"}
+FIELD_GROUP_TO_WREATH = {"GCP": "W", "FOCP": "W1", "CP": "Weq"}
 
 
 def reps_as_cyclotomic(group: str, kind: str, ctx: CyclotomicContext) -> list:
@@ -276,43 +276,20 @@ def reps_as_cyclotomic(group: str, kind: str, ctx: CyclotomicContext) -> list:
     m = (q-1)/d, rewrites them over C (b -> omega^(d*b)) and maps them
     through the form isomorphism.  Every output is verified to be a
     permutation form of the claimed kind (full cycle on F_q^* resp.
-    involution), by materializing it.
+    involution), by materializing it; a failure raises ValueError.
     """
-    from .forms import eval_cyclotomic, is_permutation_form
+    from .oracle import materialize  # oracle imports this module
     from .wreath import wreath_to_cyclotomic
-    if group not in _FIELD_GROUP_TO_WREATH:
+    if group not in FIELD_GROUP_TO_WREATH:
         raise ValueError(f"unknown field-level group {group!r}")
-    system = rep_system(_FIELD_GROUP_TO_WREATH[group], kind, ctx.d, ctx.m)
+    system = rep_system(FIELD_GROUP_TO_WREATH[group], kind, ctx.d, ctx.m)
+    lengths = {ctx.field.q - 1} if kind == "long-cycle" else {1, 2}
     out = []
     for g in system.reps:
         form = wreath_to_cyclotomic(g.to_c(ctx))
-        if not is_permutation_form(form):
-            raise AssertionError(f"representative {g} did not map to a "
-                                 f"permutation form")
-        _verify_kind(form, kind, eval_cyclotomic)
+        ct = materialize(form).cycle_type()
+        if not {length for length, _ in ct.counts} <= lengths:
+            raise ValueError(f"representative {g} maps to {form}, which "
+                             f"is not a {kind} (cycle type {ct})")
         out.append(form)
     return out
-
-
-def _verify_kind(form, kind, eval_cyclotomic):
-    ctx = form.ctx
-    cfg = ctx.field
-    n = cfg.q - 1
-    if kind == "long-cycle":
-        x = cfg.omega
-        seen = 1
-        y = eval_cyclotomic(form, x)
-        while y != x:
-            y = eval_cyclotomic(form, y)
-            seen += 1
-            if seen > n:
-                break
-        if seen != n:
-            raise AssertionError(f"{form} is not a (q-1)-cycle")
-    else:
-        acc = cfg.one
-        for _ in range(n):
-            y = eval_cyclotomic(form, eval_cyclotomic(form, acc))
-            if y != acc:
-                raise AssertionError(f"{form} is not an involution")
-            acc = acc * cfg.omega

@@ -218,15 +218,13 @@ class CyclotomicForm:
 
 
 class PermutationAnalysis:
-    """Verdict of the permutation check: form, coset map, flag."""
+    """Verdict of the permutation check: the form and its coset map."""
 
-    __slots__ = ("form", "psi", "is_permutation")
+    __slots__ = ("form", "psi")
 
-    def __init__(self, form: CyclotomicForm, psi: CosetPerm,
-                 is_permutation: bool = True):
+    def __init__(self, form: CyclotomicForm, psi: CosetPerm):
         self.form = form
         self.psi = psi
-        self.is_permutation = is_permutation
 
 
 def eval_cyclotomic(f: CyclotomicForm, x: FqElem) -> FqElem:
@@ -317,28 +315,30 @@ def coset_map_of(f: CyclotomicForm) -> CosetPerm:
     return CosetPerm(images)
 
 
+def _screen_permutation(f: CyclotomicForm) -> CosetPerm:
+    """The coset map of a permutation form (all a_i nonzero, all r_i
+    coprime to m, psi bijective); raises Rejected otherwise."""
+    ctx = f.ctx
+    for i in range(ctx.d):
+        if f.a[i].is_zero():
+            raise Rejected("zero-branch-coefficient", f"a_{i} = 0")
+    for i in range(ctx.d):
+        if math.gcd(f.r[i], ctx.m) > 1:
+            raise Rejected("exponent-not-coprime",
+                           f"gcd(r_{i}={f.r[i]}, m={ctx.m}) > 1")
+    return coset_map_of(f)
+
+
 def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnalysis:
     """Full permutation check: recover the form, screen the branch data,
     and verify the induced coset map is a bijection."""
     form = poly_to_cyclotomic(P, ctx)
-    for i in range(ctx.d):
-        if form.a[i].is_zero():
-            raise Rejected("zero-branch-coefficient", f"a_{i} = 0")
-    for i in range(ctx.d):
-        if math.gcd(form.r[i], ctx.m) > 1:
-            raise Rejected("exponent-not-coprime",
-                           f"gcd(r_{i}={form.r[i]}, m={ctx.m}) > 1")
-    psi = coset_map_of(form)
-    return PermutationAnalysis(form, psi, True)
+    return PermutationAnalysis(form, _screen_permutation(form))
 
 
 def is_permutation_form(f: CyclotomicForm) -> bool:
-    if any(ai.is_zero() for ai in f.a):
-        return False
-    if any(math.gcd(ri, f.ctx.m) > 1 for ri in f.r):
-        return False
     try:
-        coset_map_of(f)
+        _screen_permutation(f)
     except Rejected:
         return False
     return True

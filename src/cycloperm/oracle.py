@@ -1,6 +1,7 @@
 """Brute-force ground truth: materialize anything as an explicit
 permutation, enumerate whole groups, and compute cycle types, cycle
-indices and conjugacy straight from the definitions.
+indices and conjugacy straight from the definitions.  ``pointwise`` is
+the package's one walk over the points of F_q.
 
 Cyclotomic/polynomial forms act on F_q^*, labeled by the discrete-log
 index of omega (index e <-> omega^e); wreath elements act on
@@ -88,11 +89,26 @@ def _check_bijection(images, labels):
     return images
 
 
+def pointwise(form):
+    """(x, form(x)) for x = 0, omega^0, ..., omega^(q-2), each power one
+    product after the last; form is a PolyForm or a CyclotomicForm."""
+    from .forms import PolyForm, eval_cyclotomic
+    if isinstance(form, PolyForm):
+        cfg, apply = form.cfg, form.eval
+    else:
+        cfg, apply = form.ctx.field, lambda x: eval_cyclotomic(form, x)
+    yield cfg.zero, apply(cfg.zero)
+    x = cfg.one
+    for _ in range(cfg.q - 1):
+        yield x, apply(x)
+        x = x * cfg.omega
+
+
 def materialize(obj) -> ExplicitPerm:
     """Explicit permutation of a cyclotomic form, a polynomial form
     (both on F_q^*, discrete-log labeling) or a wreath element (on
     (Z/mZ) x {0..d-1}, pair labeling x + m*i)."""
-    from .forms import CyclotomicForm, PolyForm, eval_cyclotomic
+    from .forms import CyclotomicForm, PolyForm
     if isinstance(obj, AffineMapZ):
         return ExplicitPerm(_check_bijection(
             [obj.apply(x) for x in range(obj.m)], lambda x: x))
@@ -106,25 +122,14 @@ def materialize(obj) -> ExplicitPerm:
             images.append(y + m * j)
         return ExplicitPerm(_check_bijection(
             images, lambda idx: (idx % m, idx // m)))
-    if isinstance(obj, CyclotomicForm):
-        ctx = obj.ctx
-        cfg = ctx.field
-        table = cfg.dlog_table()
-        images = []
-        for e in range(cfg.q - 1):
-            y = eval_cyclotomic(obj, cfg.omega**e)
-            if y.is_zero():
-                raise NotBijective((f"w^{e}", "0", "0"))
-            images.append(table[y.coeffs])
-        return ExplicitPerm(_check_bijection(images, lambda e: f"w^{e}"))
-    if isinstance(obj, PolyForm):
-        cfg = obj.cfg
-        table = cfg.dlog_table()
-        if not obj.eval(cfg.zero).is_zero():
+    if isinstance(obj, (CyclotomicForm, PolyForm)):
+        walk = pointwise(obj)
+        zero, y = next(walk)
+        if not y.is_zero():
             raise NotBijective(("0", "0", "P(0) != 0"))
+        table = zero.cfg.dlog_table()
         images = []
-        for e in range(cfg.q - 1):
-            y = obj.eval(cfg.omega**e)
+        for e, (_, y) in enumerate(walk):
             if y.is_zero():
                 raise NotBijective((f"w^{e}", "0", "0"))
             images.append(table[y.coeffs])

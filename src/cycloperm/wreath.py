@@ -382,15 +382,23 @@ class WreathElem:
 def fcp(g: WreathElem, cycle) -> "AffineMapZ | AffineMapC":
     """Forward cycle product g_{i0} * g_{i1} * ... along a cycle of psi.
 
-    The cycle must be one of g.psi.cycles() (minimal element first).
+    The cycle must be one of g.psi.cycles() (minimal element first);
+    that is checked by walking psi along it.
     """
     cycle = tuple(cycle)
-    if cycle not in g.psi.cycles():
-        raise ValueError(f"{cycle} is not a cycle of {g.psi}")
-    acc = g.maps[cycle[0]]
-    for i in cycle[1:]:
-        acc = acc.compose(g.maps[i])
-    return acc
+    images = g.psi.images
+    start = cycle[0] if cycle else -1
+    if 0 <= start < len(images):
+        acc, j = g.maps[start], start
+        for i in cycle[1:]:
+            j = images[j]
+            if i != j or j <= start:  # off psi's path, or not minimal-first
+                break
+            acc = acc.compose(g.maps[i])
+        else:
+            if images[j] == start:
+                return acc
+    raise ValueError(f"{cycle} is not a cycle of {g.psi}")
 
 
 def cycle_type_affine(g: AffineMapZ) -> CycleType:

@@ -1,6 +1,11 @@
 import json
+import re
 
+import pytest
+
+from cycloperm import cli, conjugacy
 from cycloperm.cli import main
+from cycloperm.forms import PolyForm
 
 DEMO_POLY = "w^15*T^5 + w^23*T^7 + w^3*T^17 + w^23*T^19"
 
@@ -338,3 +343,54 @@ def test_malformed_inputs_exit_1(capsys):
     code, out = run(capsys, "to-poly", "--q", "25", "--d", "2",
                     "--form", "f(a=[w^5], r=[7,5])")
     assert code == 1
+
+
+@pytest.mark.parametrize("wrong, message", [
+    # a bijection, but not the inverse
+    ("T", r"composition is not the identity at w\^\d+"),
+    # not a bijection of F_q^*
+    ("T^2", r"not a bijection: w\^\d+ and w\^\d+ share the image \d+"),
+    # does not fix 0
+    ("T + 1", r"P\(0\) != 0"),
+])
+def test_invert_check_rejects_wrong_inverse(capsys, monkeypatch, wrong,
+                                            message):
+    monkeypatch.setattr(cli, "invert_permutation",
+                        lambda form: PolyForm.parse(form.ctx.field, wrong))
+    code, out = run(capsys, "invert", "--q", "25", "--d", "2", "--poly",
+                    DEMO_POLY, "--check", "--format", "structured")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert re.fullmatch(f".*{message}", payload["message"])
+
+
+@pytest.mark.parametrize("wrong, point", [("T", "w^0"),
+                                          (DEMO_POLY + " + 1", "0")])
+def test_to_poly_verify_names_first_mismatch(capsys, monkeypatch, wrong,
+                                             point):
+    monkeypatch.setattr(cli, "cyclotomic_to_poly",
+                        lambda form: PolyForm.parse(form.ctx.field, wrong))
+    code, out = run(capsys, "to-poly", "--q", "25", "--d", "2",
+                    "--form", "f(a=[w^5,w^21], r=[7,5])", "--verify",
+                    "--format", "structured")
+    assert code == 1
+    assert json.loads(out) == {"status": "error",
+                               "message": f"pointwise mismatch at {point}"}
+
+
+@pytest.mark.parametrize("group", ["gcp", "cp", "focp"])
+@pytest.mark.parametrize("kind, wrong_kind", [("long-cycle", "involution"),
+                                              ("involution", "long-cycle")])
+def test_reps_field_self_check_failure_is_an_error(capsys, monkeypatch, group,
+                                                   kind, wrong_kind):
+    # hand the field-level path representatives of the other kind
+    real = conjugacy.rep_system
+    monkeypatch.setattr(conjugacy, "rep_system",
+                        lambda g, k, d, m: real(g, wrong_kind, d, m))
+    code, out = run(capsys, "reps", "--group", group, "--kind", kind,
+                    "--q", "25", "--d", "2", "--format", "structured")
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["status"] == "error"
+    assert f"is not a {kind}" in payload["message"]

@@ -1,6 +1,8 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and none
+defines a private top-level function or class it never uses.
 
-__init__.py is exempt: it imports names to re-export them.
+__init__.py is exempt from the import check: it imports names to
+re-export them.
 """
 
 import ast
@@ -9,7 +11,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cycloperm"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(p.name for p in SRC.glob("*.py"))
+MODULES = [name for name in ALL_MODULES if name != "__init__.py"]
 
 
 def _annotation_names(node):
@@ -53,3 +56,27 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def unreferenced_privates(source: str) -> list[str]:
+    """Top-level _private functions and classes no name in the module uses."""
+    tree = ast.parse(source)
+    private = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                    ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(private - used)
+
+
+def test_unreferenced_privates_detector():
+    source = ("def _used():\n    pass\n"
+              "def _dead(x):\n    return x\n"
+              "class _Gone:\n    pass\n"
+              "def public():\n    return _used()\n")
+    assert unreferenced_privates(source) == ["_Gone", "_dead"]
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_unreferenced_privates(module):
+    assert unreferenced_privates((SRC / module).read_text()) == []

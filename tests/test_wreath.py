@@ -243,6 +243,25 @@ def test_fcp_examples():
         assert fcp(ident, cycle) == AffineMapZ.identity(12)
     with pytest.raises(ValueError):
         fcp(g, (1, 0))  # not written minimal-first
+    assert fcp(PSI_3_1, (0, 1, 2)) == AffineMapZ(12, 11, 0)  # 35x + 12
+    assert fcp(PSI_3_1, (3,)) == AffineMapZ(12, 11, 4)
+
+
+# psi = (0,1,2)(3)
+PSI_3_1 = WreathElem(CosetPerm((1, 2, 0, 3)),
+                     [AffineMapZ(12, 5, 1), AffineMapZ(12, 7, 2),
+                      AffineMapZ(12, 1, 3), AffineMapZ(12, 11, 4)])
+
+
+@pytest.mark.parametrize("cycle", [
+    (), (0, 2, 1), (0, 1), (0, 3), (3, 0, 1, 2),  # not a cycle of psi
+    (1, 2, 0), (2, 0, 1),                          # not minimal-first
+    (0, 1, 2, 0, 1, 2), (3, 3),                    # a cycle listed twice
+    (4,), (0, 1, 2, 4), (-1,), (3, -1), (-4, 1, 2),  # labels out of range
+])
+def test_fcp_rejects_non_cycles(cycle):
+    with pytest.raises(ValueError):
+        fcp(PSI_3_1, cycle)
 
 
 def test_cycle_type_affine_examples():
