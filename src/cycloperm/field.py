@@ -12,13 +12,23 @@ fly); outside the table we fall back to the lexicographically smallest
 primitive polynomial, which keeps the defining property that matters
 here: the class of x generates F_q^*.
 
-Discrete logarithms use baby-step giant-step; keep q below ~2^20 on
-dlog-dependent paths (BSGS memory grows like sqrt(q)).
+Discrete logarithms use baby-step giant-step (Shanks) over one
+baby-step table ``omega^j -> j`` per field, shared by every caller and
+grown on demand.  ``FqConfig.dlogs`` logs a batch of t elements in one
+pass: it grows the table to ceil(sqrt(t*(q-1))) entries (at most q-1),
+then takes at most (q-1)/size giant steps per element, about
+2*sqrt(t*(q-1)) products in all and never more than q-1+t.  Printing a
+polynomial or a cyclotomic form is one such batch, so it costs
+O(sqrt(t*q)) products; only ``oracle.materialize`` asks for the whole
+table (``dlog_table``).  Every other logarithm (``dlog`` to any base)
+is read off two omega-logs.  Keep q below ~2^20 on dlog-dependent
+paths.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 from .arith import factorize, is_prime, multiplicative_order
 
@@ -150,7 +160,10 @@ class FqConfig:
         self.one = FqElem(self, (1,) + (0,) * (k - 1))
         self.omega = FqElem(self, omega_coeffs)
         self.q_minus_1_factors = factorize(self.q - 1)
-        self._dlog_table: dict[tuple, int] | None = None
+        # baby steps omega^j -> j for j < len(_logs); _next = omega^len(_logs)
+        self._logs: dict[tuple, int] = {}
+        self._next = self.one
+        self._lock = threading.Lock()
         if not _is_irreducible(self.modulus, p):
             raise ValueError(f"modulus {list(self.modulus)} is reducible over F_{p}")
         if not self._is_primitive(self.omega):
@@ -167,28 +180,56 @@ class FqConfig:
         """Image of the integer n under Z -> F_q."""
         return FqElem(self, (n,) + (0,) * (self.k - 1))
 
-    def elements(self):
-        """All q elements (coefficient-vector order)."""
-        import itertools
-        for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield FqElem(self, coeffs)
+    def _grow(self, size: int) -> int:
+        """Extend the baby-step table to min(size, q-1) entries; return
+        its size.  Caller holds the lock."""
+        table, acc = self._logs, self._next
+        size = min(size, self.q - 1)
+        for j in range(len(table), size):
+            table[acc.coeffs] = j
+            acc = acc * self.omega
+        self._next = acc
+        return len(table)
+
+    def dlogs(self, xs) -> list[int]:
+        """The e in [0, q-1) with omega^e = x, for each nonzero x of a
+        batch, by baby-step giant-step over the shared table."""
+        xs = list(xs)
+        if any(x.is_zero() for x in xs):
+            raise ValueError("0 has no discrete logarithm")
+        if not xs:
+            return []
+        n = self.q - 1
+        table = self._logs
+        with self._lock:
+            size = self._grow(math.isqrt(len(xs) * n - 1) + 1)
+            if size == n:
+                return [table[x.coeffs] for x in xs]
+            giant = self._next.inverse()
+            out = []
+            for x in xs:
+                i, cur = 0, x
+                while cur.coeffs not in table:
+                    i, cur = i + 1, cur * giant
+                out.append(i * size + table[cur.coeffs])
+            return out
 
     def dlog_table(self) -> dict[tuple, int]:
-        """coeffs -> e with omega^e; built once by iterating powers."""
-        if self._dlog_table is None:
-            table = {}
-            acc = self.one
-            for e in range(self.q - 1):
-                table[acc.coeffs] = e
-                acc = acc * self.omega
-            self._dlog_table = table
-        return self._dlog_table
+        """coeffs -> e with omega^e: the baby-step table grown to all
+        q-1 entries.  For oracle.materialize, which logs every point."""
+        with self._lock:
+            self._grow(self.q - 1)
+        return self._logs
+
+    def elem_strs(self, xs) -> list[str]:
+        """Canonical text forms of a batch, through one dlogs pass."""
+        xs = list(xs)
+        logs = iter(self.dlogs(x for x in xs if not x.is_zero()))
+        return ["0" if x.is_zero() else f"w^{next(logs)}" for x in xs]
 
     def elem_str(self, x: FqElem) -> str:
         """Canonical text form: '0' or 'w^E' with 0 <= E < q-1."""
-        if x.is_zero():
-            return "0"
-        return f"w^{self.dlog_table()[x.coeffs]}"
+        return self.elem_strs([x])[0]
 
     def parse_elem(self, text: str) -> FqElem:
         """Parse '0', 'w^E', 'w', '[c0,c1,...]', or a plain integer."""
@@ -348,31 +389,21 @@ def make_field(p: int, k: int, modulus=None, omega=None) -> FqConfig:
 
 
 def dlog(cfg: FqConfig, base: FqElem, x: FqElem) -> int:
-    """Least e >= 0 with base^e = x, by baby-step giant-step.
+    """Least e >= 0 with base^e = x, from the omega-logs L_b, L_x.
 
+    base^e = x iff e*L_b = L_x (mod q-1); with g = gcd(L_b, q-1), that
+    needs g | L_x, and then e is unique mod (q-1)/g, the order of base.
     Raises ValueError when x is outside the subgroup generated by base.
     """
     if base.is_zero() or x.is_zero():
         raise ValueError("dlog needs nonzero base and argument")
+    log_b, log_x = cfg.dlogs([base, x])
     n = cfg.q - 1
-    order = n
-    for ell, _ in cfg.q_minus_1_factors:
-        while order % ell == 0 and base ** (order // ell) == cfg.one:
-            order //= ell
-    bound = math.isqrt(order - 1) + 1 if order > 1 else 1
-    baby = {}
-    acc = cfg.one
-    for j in range(bound):
-        baby.setdefault(acc.coeffs, j)
-        acc = acc * base
-    giant = (base**bound).inverse()
-    cur = x
-    for i in range(bound + 1):
-        j = baby.get(cur.coeffs)
-        if j is not None and i * bound + j < order:
-            return i * bound + j
-        cur = cur * giant
-    raise ValueError("element is not in the subgroup generated by the base")
+    g = math.gcd(log_b, n)
+    if log_x % g:
+        raise ValueError("element is not in the subgroup generated by the base")
+    order = n // g
+    return log_x // g * pow(log_b // g, -1, order) % order
 
 
 class CyclotomicContext:

@@ -49,58 +49,63 @@ class Rejected(Exception):
 
 
 class PolyForm:
-    """Dense polynomial of degree <= q-1 over F_q (coefficient of T^0 first)."""
+    """Sparse polynomial of degree <= q-1 over F_q: ``coeffs`` maps each
+    degree with a nonzero coefficient to it, in ascending degree."""
 
     __slots__ = ("cfg", "coeffs")
 
     def __init__(self, cfg, coeffs):
-        if len(coeffs) > cfg.q:
-            raise ValueError(f"degree exceeds q-1 = {cfg.q - 1}")
-        coeffs = list(coeffs)
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        if not coeffs:
-            coeffs = [cfg.zero]
+        """coeffs: a {degree: FqElem} mapping; zero coefficients are dropped."""
+        for deg in coeffs:
+            if not 0 <= deg < cfg.q:
+                raise ValueError(f"degree {deg} outside 0..q-1 = {cfg.q - 1}")
         self.cfg = cfg
-        self.coeffs = tuple(coeffs)
+        self.coeffs = {deg: c for deg, c in sorted(coeffs.items())
+                       if not c.is_zero()}
 
     @classmethod
     def zero(cls, cfg) -> "PolyForm":
-        return cls(cfg, [cfg.zero])
+        return cls(cfg, {})
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self.coeffs
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return next(reversed(self.coeffs), 0)
 
     def coeff(self, deg: int) -> FqElem:
-        return self.coeffs[deg] if deg < len(self.coeffs) else self.cfg.zero
+        return self.coeffs.get(deg, self.cfg.zero)
 
     def terms(self) -> list[tuple[int, FqElem]]:
         """Nonzero (degree, coefficient) pairs, ascending degree."""
-        return [(i, c) for i, c in enumerate(self.coeffs) if not c.is_zero()]
+        return list(self.coeffs.items())
 
     def eval(self, x: FqElem) -> FqElem:
-        """Horner evaluation."""
-        acc = self.cfg.zero
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner evaluation over the gaps between stored degrees; each
+        distinct gap's power of x is computed once."""
+        acc, last, steps = self.cfg.zero, self.degree(), {}
+        for deg, c in reversed(self.coeffs.items()):
+            gap = last - deg
+            step = steps.get(gap)
+            if step is None:
+                step = steps[gap] = x**gap
+            acc = acc * step + c
+            last = deg
+        return acc * x**last
 
     def __eq__(self, other):
         return (isinstance(other, PolyForm) and other.cfg is self.cfg
                 and other.coeffs == self.coeffs)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(tuple(self.coeffs.items()))
 
     def __str__(self):
         if self.is_zero():
             return "0"
         parts = []
-        for deg, c in self.terms():
-            cs = self.cfg.elem_str(c)
+        for deg, cs in zip(self.coeffs,
+                           self.cfg.elem_strs(self.coeffs.values())):
             if deg == 0:
                 parts.append(cs)
             elif deg == 1:
@@ -138,7 +143,7 @@ class PolyForm:
     def parse(cls, cfg, text: str) -> "PolyForm":
         """Parse 'COEF*T^DEG' terms joined by + or -; 'T' means T^1,
         a bare COEF is the constant term, a bare 'T^D' has coefficient 1."""
-        coeffs = [cfg.zero] * cfg.q
+        coeffs: dict[int, FqElem] = {}
         for raw in cls._split_terms(text.strip()):
             term = raw.strip()
             if not term:
@@ -164,7 +169,7 @@ class PolyForm:
                 raise ValueError(f"term degree {deg} exceeds q-1 = {cfg.q - 1}")
             if negate:
                 coef = -coef
-            coeffs[deg] = coeffs[deg] + coef
+            coeffs[deg] = coeffs.get(deg, cfg.zero) + coef
         return cls(cfg, coeffs)
 
 
@@ -198,8 +203,7 @@ class CyclotomicForm:
         return hash((self.a, self.r))
 
     def __str__(self):
-        cfg = self.ctx.field
-        alist = ",".join(cfg.elem_str(ai) for ai in self.a)
+        alist = ",".join(self.ctx.field.elem_strs(self.a))
         rlist = ",".join(str(ri) for ri in self.r)
         return f"f(a=[{alist}], r=[{rlist}])"
 
@@ -242,14 +246,15 @@ def cyclotomic_to_poly(f: CyclotomicForm) -> PolyForm:
     d, m = ctx.d, ctx.m
     inv_d = cfg.from_int(d).inverse()
     zeta_inv_pows = [ctx.zeta ** (-e) for e in range(d)]
-    coeffs = [cfg.zero] * cfg.q
+    coeffs: dict[int, FqElem] = {}
     for i in range(d):
         if f.a[i].is_zero():
             continue
         scaled = inv_d * f.a[i]
         for j in range(d):
             deg = j * m + f.r[i]
-            coeffs[deg] = coeffs[deg] + scaled * zeta_inv_pows[i * j % d]
+            coeffs[deg] = (coeffs.get(deg, cfg.zero)
+                           + scaled * zeta_inv_pows[i * j % d])
     return PolyForm(cfg, coeffs)
 
 
@@ -357,7 +362,7 @@ def invert_permutation(f: CyclotomicForm) -> PolyForm:
     if not is_permutation_form(f):
         raise ValueError("form is not a permutation; it has no inverse")
     inv_d = cfg.from_int(d).inverse()
-    coeffs = [cfg.zero] * cfg.q
+    coeffs: dict[int, FqElem] = {}
     for i in range(d):
         r_i = f.r[i]
         rt = rem1(pow(r_i, -1, m) if m > 1 else 1, m)
@@ -365,7 +370,8 @@ def invert_permutation(f: CyclotomicForm) -> PolyForm:
         for j in range(d):
             deg = rt + j * m
             zeta_pow = ctx.zeta ** (i * (t_i - j * r_i))
-            coeffs[deg] = coeffs[deg] + inv_d * zeta_pow * f.a[i] ** (-rt - j * m)
+            coeffs[deg] = (coeffs.get(deg, cfg.zero)
+                           + inv_d * zeta_pow * f.a[i] ** (-rt - j * m))
     return PolyForm(cfg, coeffs)
 
 
@@ -373,5 +379,5 @@ def analyze_affine_shift(Q: PolyForm, ctx: CyclotomicContext):
     """Peel the constant b = Q(0) and convert Q - b: returns (b, form),
     representing x -> a_i x^(r_i) + b.  Rejections propagate."""
     b = Q.coeff(0)
-    shifted = PolyForm(Q.cfg, [Q.cfg.zero] + list(Q.coeffs[1:]))
+    shifted = PolyForm(Q.cfg, {deg: c for deg, c in Q.coeffs.items() if deg})
     return b, poly_to_cyclotomic(shifted, ctx)

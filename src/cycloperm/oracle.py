@@ -107,7 +107,9 @@ def pointwise(form):
 def materialize(obj) -> ExplicitPerm:
     """Explicit permutation of a cyclotomic form, a polynomial form
     (both on F_q^*, discrete-log labeling) or a wreath element (on
-    (Z/mZ) x {0..d-1}, pair labeling x + m*i)."""
+    (Z/mZ) x {0..d-1}, pair labeling x + m*i).  Raises NotBijective
+    with two colliding points (0 among them when a form sends w^e to 0),
+    and ValueError when a form does not fix 0."""
     from .forms import CyclotomicForm, PolyForm
     if isinstance(obj, AffineMapZ):
         return ExplicitPerm(_check_bijection(
@@ -126,12 +128,12 @@ def materialize(obj) -> ExplicitPerm:
         walk = pointwise(obj)
         zero, y = next(walk)
         if not y.is_zero():
-            raise NotBijective(("0", "0", "P(0) != 0"))
+            raise ValueError("the map does not fix 0: P(0) != 0")
         table = zero.cfg.dlog_table()
         images = []
         for e, (_, y) in enumerate(walk):
             if y.is_zero():
-                raise NotBijective((f"w^{e}", "0", "0"))
+                raise NotBijective(("0", f"w^{e}", "0"))
             images.append(table[y.coeffs])
         return ExplicitPerm(_check_bijection(images, lambda e: f"w^{e}"))
     raise TypeError(f"cannot materialize {type(obj).__name__}")

@@ -352,6 +352,8 @@ def test_malformed_inputs_exit_1(capsys):
     ("T^2", r"not a bijection: w\^\d+ and w\^\d+ share the image \d+"),
     # does not fix 0
     ("T + 1", r"P\(0\) != 0"),
+    # sends w^0 to 0, like 0 itself
+    ("T^2 - T", r"not a bijection: 0 and w\^0 share the image 0"),
 ])
 def test_invert_check_rejects_wrong_inverse(capsys, monkeypatch, wrong,
                                             message):

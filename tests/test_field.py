@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -6,6 +9,7 @@ from cycloperm.arith import factorize
 from cycloperm.field import (
     CONWAY_TABLE,
     CyclotomicContext,
+    FqConfig,
     dlog,
     make_field,
     _is_irreducible,
@@ -85,6 +89,89 @@ def test_dlog_random():
         base = cfg.omega**base_exp
         order = 26 // __import__("math").gcd(26, base_exp)
         assert dlog(cfg, base, base**e) == e % order
+
+
+@pytest.mark.parametrize("p, k", [(5, 2), (3, 3)])
+def test_dlog_matches_exhaustive_search(p, k):
+    cfg = make_field(p, k)
+    elems = [cfg.zero] + [cfg.omega**e for e in range(cfg.q - 1)]
+    for base in elems:
+        powers = [base**e for e in range(cfg.q - 1)]
+        for x in elems:
+            least = next((e for e, y in enumerate(powers) if y == x), None)
+            if base.is_zero() or x.is_zero() or least is None:
+                with pytest.raises(ValueError):
+                    dlog(cfg, base, x)
+            else:
+                assert dlog(cfg, base, x) == least
+
+
+def fresh_powers(q):
+    """A field never used before, and omega^0, ..., omega^(q-2) in it."""
+    ((p, k),) = factorize(q)
+    known = make_field(p, k)
+    cfg = FqConfig(p, k, known.modulus, known.omega.coeffs)
+    powers = [cfg.one]
+    for _ in range(q - 2):
+        powers.append(powers[-1] * cfg.omega)
+    return cfg, powers
+
+
+SMALL_Q = (3, 4, 8, 9, 16, 25, 27, 49, 64, 81, 97, 121, 128, 243, 256, 343,
+           512, 625, 729, 1021, 1024)
+
+
+@pytest.mark.parametrize("q", SMALL_Q)
+def test_dlogs_match_the_full_table(q):
+    for size in (1, 7, q - 1):
+        cfg, powers = fresh_powers(q)
+        for start in range(0, q - 1, size):
+            batch = powers[start:start + size]
+            assert cfg.dlogs(batch) == list(range(start, start + len(batch)))
+
+
+@pytest.mark.parametrize("q", (81, 729, 1024))
+def test_dlogs_table_grows_in_steps(q):
+    cfg, powers = fresh_powers(q)
+    rng = random.Random(q)
+    want = 0
+    for size in (1, 2, 7, 30, 1, 100, q - 1):
+        picks = [rng.randrange(q - 1) for _ in range(size)]
+        assert cfg.dlogs(powers[e] for e in picks) == picks
+        want = max(want, math.isqrt(size * (q - 1) - 1) + 1)
+        assert len(cfg._logs) == min(want, q - 1)
+    assert cfg.dlog_table() == {x.coeffs: e for e, x in enumerate(powers)}
+
+
+def test_dlogs_from_many_threads():
+    cfg, powers = fresh_powers(2048)
+    sizes = (1, 3, 40, 700, 2047)
+    start = threading.Barrier(len(sizes))
+    got = {}
+
+    def work(size):
+        start.wait()
+        got[size] = [log for i in range(0, len(powers), size)
+                     for log in cfg.dlogs(powers[i:i + size])]
+
+    threads = [threading.Thread(target=work, args=(s,)) for s in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {s: list(range(2047)) for s in sizes}
+
+
+def test_dlogs_reject_zero(f25):
+    with pytest.raises(ValueError):
+        f25.dlogs([f25.one, f25.zero])
+    assert f25.dlogs([]) == []
 
 
 def test_coset_index_examples(f25, ctx25d2):

@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from cycloperm.field import CyclotomicContext, make_field
 from cycloperm.forms import (
     CyclotomicForm,
     PolyForm,
@@ -14,6 +16,7 @@ from cycloperm.forms import (
     is_permutation_form,
     poly_to_cyclotomic,
 )
+from cycloperm.oracle import pointwise
 
 DEMO_POLY = "w^15*T^5 + w^23*T^7 + w^3*T^17 + w^23*T^19"
 DEMO_INVERSE = "w^9*T^5 + w^7*T^7 + w^9*T^17 + w^19*T^19"
@@ -219,6 +222,62 @@ def test_poly_parse_subtraction_and_vectors(f25):
 def test_poly_degree_cap(f25):
     with pytest.raises(ValueError):
         PolyForm.parse(f25, "T^25")
+    with pytest.raises(ValueError):
+        PolyForm(f25, {25: f25.one})
+    with pytest.raises(ValueError):
+        PolyForm(f25, {-1: f25.one})
+
+
+def test_poly_stores_nonzero_terms_only(f25):
+    w = f25.omega
+    P = PolyForm(f25, {7: w, 0: f25.one, 3: f25.zero})
+    assert P.coeffs == {0: f25.one, 7: w}
+    assert list(P.coeffs) == [0, 7]
+    assert P.terms() == [(0, f25.one), (7, w)]
+    assert P.degree() == 7 and P.coeff(3) == f25.zero
+    assert P == PolyForm.parse(f25, "w*T^7 + 1")
+    assert hash(P) == hash(PolyForm.parse(f25, "1 + w^1*T^7"))
+
+
+def test_printing_at_2_to_the_16_logs_through_few_baby_steps():
+    cfg = make_field(2, 16)
+    w = cfg.omega
+    form = CyclotomicForm(CyclotomicContext(cfg, 3), (w**5, w**21, w**7),
+                          (7, 5, 11))
+    P = cyclotomic_to_poly(form)
+    assert str(P) == (
+        "w^21*T^5 + w^5*T^7 + w^7*T^11 + w^43711*T^21850 + w^5*T^21852"
+        " + w^21852*T^21856 + w^21866*T^43695 + w^5*T^43697"
+        " + w^43697*T^43701")
+    assert len(cfg._logs) <= math.isqrt(9 * (cfg.q - 1) - 1) + 1 < cfg.q - 1
+
+
+def dense_horner(P, x):
+    """Reference: Horner over all q coefficient slots of P."""
+    acc = P.cfg.zero
+    for deg in range(P.cfg.q - 1, -1, -1):
+        acc = acc * x + P.coeff(deg)
+    return acc
+
+
+@pytest.mark.parametrize("q", (9, 16, 25, 27, 49))
+def test_sparse_eval_matches_dense_horner(ctx_cache, q):
+    cfg = ctx_cache(q, 1).field
+    w = cfg.omega
+    rng = random.Random(q)
+    polys = [PolyForm.parse(cfg, "w^3*T^5 - w^3*T^5"),
+             PolyForm.parse(cfg, "w^3*T^5 + w^2 - w^3*T^5"),
+             PolyForm.parse(cfg, f"w*T^{q - 1}"),
+             PolyForm.parse(cfg, f"T^{q - 1} + w^4*T + 1")]
+    for _ in range(25):
+        coeffs = {rng.randrange(q): rng.choice([cfg.zero, w ** rng.randrange(q)])
+                  for _ in range(rng.randrange(9))}
+        polys.append(PolyForm(cfg, coeffs))
+    assert polys[0].is_zero() and str(polys[0]) == "0"
+    assert polys[1] == PolyForm(cfg, {0: w**2})
+    for P in polys:
+        for x, y in pointwise(P):
+            assert y == dense_horner(P, x)
 
 
 def test_horner_matches_piecewise(ctx_cache):
@@ -228,8 +287,8 @@ def test_horner_matches_piecewise(ctx_cache):
         for _ in range(20):
             f = random_form(ctx, rng, nonzero=False)
             P = cyclotomic_to_poly(f)
-            for x in ctx.field.elements():
-                assert P.eval(x) == eval_cyclotomic(f, x)
+            for x, y in pointwise(P):
+                assert y == eval_cyclotomic(f, x)
 
 
 ROUND_TRIP_CONFIGS = ((9, 2), (16, 3), (25, 2), (25, 4), (27, 13), (49, 6))
@@ -266,14 +325,13 @@ def test_inversion_round_trip(ctx_cache):
     done = 0
     for q, d in ((9, 2), (25, 2), (25, 4), (49, 6)):
         ctx = ctx_cache(q, d)
-        cfg = ctx.field
         for _ in range(30):
             f = random_form(ctx, rng, permutation=True)
             P = cyclotomic_to_poly(f)
             inv = invert_permutation(f)
-            for x in cfg.elements():
-                assert inv.eval(P.eval(x)) == x
-                assert P.eval(inv.eval(x)) == x
+            for (x, y), (_, z) in zip(pointwise(P), pointwise(inv)):
+                assert inv.eval(y) == x
+                assert P.eval(z) == x
             done += 1
     assert done >= 100
 

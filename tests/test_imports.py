@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and none
-defines a private top-level function or class it never uses.
+"""No module of the package imports a name it never uses, none
+defines a private top-level function or class it never uses, and none
+but the oracle asks for the full discrete-log table.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -80,3 +81,23 @@ def test_unreferenced_privates_detector():
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_no_unreferenced_privates(module):
     assert unreferenced_privates((SRC / module).read_text()) == []
+
+
+def dlog_table_calls(source: str) -> int:
+    """Calls of anything named dlog_table, as a function or a method."""
+    return sum(1 for node in ast.walk(ast.parse(source))
+               if isinstance(node, ast.Call)
+               and "dlog_table" in (getattr(node.func, "attr", None),
+                                    getattr(node.func, "id", None)))
+
+
+def test_dlog_table_calls_detector():
+    source = ("def dlog_table():\n    return {}\n"
+              "t = cfg.dlog_table()\nu = dlog_table()\nv = cfg.dlog_table\n")
+    assert dlog_table_calls(source) == 2
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "oracle.py"])
+def test_only_the_oracle_builds_the_full_dlog_table(module):
+    # the full table costs q-1 products; printing and dlog use dlogs
+    assert dlog_table_calls((SRC / module).read_text()) == 0

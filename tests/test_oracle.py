@@ -5,6 +5,7 @@ import pytest
 from cycloperm.cycle_index import CycleType, ci_hol
 from cycloperm.forms import (
     CyclotomicForm,
+    PolyForm,
     cyclotomic_to_poly,
     invert_permutation,
 )
@@ -41,6 +42,18 @@ def test_materialize_rejects_non_bijection(ctx25d2):
     with pytest.raises(NotBijective) as info:
         materialize(squash)
     assert info.value.witness
+
+
+def test_materialize_names_real_witnesses(f25):
+    with pytest.raises(ValueError, match=r"P\(0\) != 0") as info:
+        materialize(PolyForm.parse(f25, "T + 1"))
+    assert not isinstance(info.value, NotBijective)
+    with pytest.raises(NotBijective) as info:
+        materialize(PolyForm.parse(f25, "T^2 - T"))
+    assert info.value.witness == ("0", "w^0", "0")
+    with pytest.raises(NotBijective) as info:
+        materialize(PolyForm.parse(f25, "T^2"))
+    assert info.value.witness == ("w^0", "w^12", 0)
 
 
 def test_inverse_composes_to_identity(ctx_cache):
