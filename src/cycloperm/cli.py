@@ -205,11 +205,15 @@ def _reconcile_dm(args, need_d=True):
 
 
 def cmd_cycle_index(args) -> int:
+    def brute():
+        return ci_brute(enumerate_group(*brute_group, args.cap),
+                        group_order(*brute_group))
+
     group = args.group
     if group == "sym":
         if args.d is None:
             raise CommandError("need --d for sym")
-        ci = ci_sym(args.d)
+        ci = ci_sym(args.d, args.cap)
         brute_group = ("W1", args.d, 1)  # Sym(d) is W1(d, 1)
     elif group in ("hol", "reg"):
         if args.m is None:
@@ -219,22 +223,15 @@ def cmd_cycle_index(args) -> int:
         brute_group = ("Hol" if group == "hol" else "W1", 1, args.m)
     else:
         d, m = _reconcile_dm(args)
-        brute_group = ("W" if group == "wreath-brute"
-                       else FIELD_GROUP_TO_WREATH[group.upper()], d, m)
-        if group == "wreath-brute":
-            ci = ci_brute(enumerate_group(*brute_group, args.cap),
-                          group_order(*brute_group))
-        else:
-            ci = {"gcp": ci_gcp, "focp": ci_focp, "cp": ci_cp}[group](d, m)
+        brute_group = (FIELD_GROUP_TO_WREATH.get(group.upper(), "W"), d, m)
+        closed = {"gcp": ci_gcp, "focp": ci_focp, "cp": ci_cp}.get(group)
+        ci = closed(d, m, args.cap) if closed else brute()
     payload = {"status": "ok", "group": group, "cycle_index": str(ci),
                "terms": len(ci.terms), "degree": ci.degree()}
     if args.verify:
-        if group == "wreath-brute":
-            brute = ci_gcp(d, m)
-        else:
-            brute = ci_brute(enumerate_group(*brute_group, args.cap),
-                             group_order(*brute_group))
-        if ci != brute:
+        # wreath-brute is checked against the closed form of W(d, m)
+        if ci != (ci_gcp(d, m, args.cap) if group == "wreath-brute"
+                  else brute()):
             raise CommandError("cycle index disagrees with brute force")
         payload["verified"] = True
     return _emit(args, payload)

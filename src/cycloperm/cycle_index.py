@@ -13,19 +13,18 @@ Implemented here:
   Z/p^kZ from the "unit signature" of a (its order data) and
   min(nu_p(b), k).  Summed per element, per signature and per group it
   gives wreath.cycle_type_affine, affine_counter_pp and ci_hol_pp;
-* the cycle indices of Sym(d), of the regular representation of Z/mZ
-  and of Hol(Z/mZ), the last assembled with the star product along the
-  CRT splitting;
-* the star product on cycle-type polynomials, which computes cycle
-  types/indices of direct products of permutation groups:
-  x_i^e * x_j^f -> x_lcm(i,j)^(e*f*gcd(i,j)), extended bilinearly;
-* substitution of cycle indices into cycle indices (the imprimitive
-  wreath-product composition), giving the cycle indices of the groups
-  W(d,m) and W1(d,m) of wreath elements over Hol(Z/mZ) resp. the
-  translations only;
-* the equal-multiplier subgroup W=(d,m): its cycle index is assembled
-  from per-multiplier cycle counters, grouped by the unit signature
-  of the multiplier.
+* the star product x_i^e * x_j^f -> x_lcm(i,j)^(e*f*gcd(i,j)), extended
+  bilinearly: cycle types/indices of direct products, e.g. Hol(Z/mZ)
+  along the CRT splitting;
+* one recurrence, _sym_substitute, for every Sym(d) composition:
+  Z(Sym(d)) with x_k -> delta_k is Z_d, where Z_0 = 1 and
+  n*Z_n = sum_{k=1..n} delta_k * Z_(n-k) (Harary & Palmer, Graphical
+  Enumeration, ch. 2).  delta_k = x_k gives Sym(d); Hol(Z/mZ) resp. the
+  translations, stretched by k, give W(d,m) resp. W1(d,m); per unit
+  signature, the normalized affine counters give W=(d,m).  Level n has
+  at most sum_k |delta_k| * |Z_(n-k)| terms, and a level whose bound
+  exceeds the cap is refused before it forms any product.
+  (polya_compose stays as the general composition for any top group.)
 
 All coefficients are exact Fractions; no floating point anywhere.
 """
@@ -38,6 +37,9 @@ import re
 from fractions import Fraction
 
 from .arith import divisors, factorize, multiplicative_order, nu, nu_cap, phi
+
+# Budget shared by group enumeration (elements) and cycle-index levels (terms).
+DEFAULT_CAP = 10**7
 
 # A unit signature mod p^k: for odd p (and p^0 = 1) the order of the unit,
 # a positive divisor of phi(p^k); for p = 2 a pair (eps, o2) with the unit
@@ -53,12 +55,9 @@ class CycleType:
 
     def __init__(self, counts):
         """counts: mapping or iterable of (length, multiplicity) pairs."""
-        if isinstance(counts, dict):
-            items = counts.items()
-        else:
-            items = counts
         merged: dict[int, int] = {}
-        for length, mult in items:
+        for length, mult in (counts.items() if isinstance(counts, dict)
+                             else counts):
             if length < 1 or mult < 0:
                 raise ValueError(f"bad cycle-type entry ({length}, {mult})")
             if mult:
@@ -66,16 +65,21 @@ class CycleType:
         self.counts = tuple(sorted(merged.items()))
 
     @classmethod
-    def identity(cls, n: int) -> "CycleType":
-        """Cycle type of the identity on n points."""
-        return cls([(1, n)]) if n else cls([])
+    def _trusted(cls, counts: tuple) -> "CycleType":
+        """Wrap pairs already sorted by distinct length, multiplicities > 0."""
+        ct = cls.__new__(cls)
+        ct.counts = counts
+        return ct
 
     def degree(self) -> int:
         return sum(length * mult for length, mult in self.counts)
 
     def mul(self, other: "CycleType") -> "CycleType":
         """Ordinary monomial product (disjoint union of cycle multisets)."""
-        return CycleType(list(self.counts) + list(other.counts))
+        merged = dict(self.counts)
+        for length, mult in other.counts:
+            merged[length] = merged.get(length, 0) + mult
+        return CycleType._trusted(tuple(sorted(merged.items())))
 
     def star(self, other: "CycleType") -> "CycleType":
         """Star product: cycle type of the direct-product permutation.
@@ -89,13 +93,14 @@ class CycleType:
                 g = math.gcd(i, j)
                 length = i * j // g
                 out[length] = out.get(length, 0) + e * f * g
-        return CycleType(out)
+        return CycleType._trusted(tuple(sorted(out.items())))
 
     def stretch(self, t: int) -> "CycleType":
         """Substitute x_i -> x_{i*t}."""
         if t < 1:
             raise ValueError(f"stretch factor must be >= 1, got {t}")
-        return CycleType([(length * t, mult) for length, mult in self.counts])
+        return CycleType._trusted(
+            tuple([(length * t, mult) for length, mult in self.counts]))
 
     def __eq__(self, other):
         return isinstance(other, CycleType) and self.counts == other.counts
@@ -143,9 +148,11 @@ class CycleIndex:
                 self._add_term(ct, Fraction(coeff))
 
     def _add_term(self, ct: CycleType, coeff: Fraction):
-        c = self.terms.get(ct, Fraction(0)) + coeff
-        if c:
-            self.terms[ct] = c
+        c = self.terms.get(ct)
+        if c is not None:
+            coeff += c
+        if coeff:
+            self.terms[ct] = coeff
         else:
             self.terms.pop(ct, None)
 
@@ -163,15 +170,10 @@ class CycleIndex:
         return sum(self.terms.values(), Fraction(0))
 
     def __add__(self, other: "CycleIndex") -> "CycleIndex":
-        out = CycleIndex(self.terms)
-        for ct, c in other.terms.items():
-            out._add_term(ct, c)
-        return out
+        return CycleIndex([*self.terms.items(), *other.terms.items()])
 
     def scale(self, factor) -> "CycleIndex":
-        factor = Fraction(factor)
-        if not factor:
-            return CycleIndex()
+        factor = Fraction(factor)  # a zero factor leaves no term
         return CycleIndex({ct: c * factor for ct, c in self.terms.items()})
 
     def __mul__(self, other: "CycleIndex") -> "CycleIndex":
@@ -191,12 +193,8 @@ class CycleIndex:
         return out
 
     def stretch(self, t: int) -> "CycleIndex":
-        return CycleIndex({ct.stretch(t): c for ct, c in self.terms.items()})
-
-    def power(self, e: int) -> "CycleIndex":
-        out = CycleIndex.of(CycleType([]))
-        for _ in range(e):
-            out = out * self
+        out = CycleIndex()  # x_i -> x_{i*t} is injective: nothing merges
+        out.terms = {ct.stretch(t): c for ct, c in self.terms.items()}
         return out
 
     def substitute(self, polys: list["CycleIndex"]) -> "CycleIndex":
@@ -207,7 +205,8 @@ class CycleIndex:
             for length, mult in ct.counts:
                 if length > len(polys):
                     raise ValueError(f"no substitute supplied for x{length}")
-                term = term * polys[length - 1].power(mult)
+                for _ in range(mult):
+                    term = term * polys[length - 1]
             out = out + term
         return out
 
@@ -235,49 +234,46 @@ class CycleIndex:
         """Parse the output of __str__ (terms 'N/D*x1^e1*...' joined by +)."""
         out = cls()
         for chunk in text.split("+"):
-            parts = chunk.strip().split("*")
-            m = re.fullmatch(r"(-?\d+)/(\d+)", parts[0].strip())
+            coeff, _, mono = chunk.strip().partition("*")
+            m = re.fullmatch(r"(-?\d+)/(\d+)", coeff)
             if not m:
                 raise ValueError(f"bad coefficient in {chunk!r}")
-            coeff = Fraction(int(m.group(1)), int(m.group(2)))
-            pairs = []
-            for part in parts[1:]:
-                pm = re.fullmatch(r"x(\d+)\^(\d+)", part.strip())
-                if not pm:
-                    raise ValueError(f"bad variable power {part!r}")
-                pairs.append((int(pm.group(1)), int(pm.group(2))))
-            out._add_term(CycleType(pairs), coeff)
+            out._add_term(CycleType.parse(mono or "1"),
+                          Fraction(int(m.group(1)), int(m.group(2))))
         return out
 
 
-def partitions_multiplicity(d: int):
-    """Partitions of d in multiplicity form: dicts {part: multiplicity}."""
+def _sym_substitute(deltas: list[CycleIndex],
+                    cap: int = DEFAULT_CAP) -> CycleIndex:
+    """Z(Sym(d)) with x_k -> deltas[k-1], d = len(deltas), expanded.
 
-    def rec(remaining, max_part):
-        if remaining == 0:
-            yield {}
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            for mult in range(remaining // part, 0, -1):
-                for rest in rec(remaining - part * mult, part - 1):
-                    out = dict(rest)
-                    out[part] = mult
-                    yield out
+    Z_0 = 1 and n*Z_n = sum_{k=1..n} deltas[k-1] * Z_(n-k).  Level n has at
+    most sum_k |deltas[k-1]| * |Z_(n-k)| terms; a bound above cap raises
+    before the level forms any product.
+    """
+    levels = [CycleIndex.of(CycleType([]))]
+    for n in range(1, len(deltas) + 1):
+        pairs = list(zip(deltas, reversed(levels)))  # (delta_k, Z_(n-k))
+        bound = sum(len(delta.terms) * len(z.terms) for delta, z in pairs)
+        if bound > cap:
+            raise ValueError(f"level {n} of the Sym(d) recurrence may have "
+                             f"{bound} terms, which exceeds the cap {cap}")
+        level = CycleIndex()
+        for delta, z in pairs:
+            for ct1, c1 in delta.terms.items():
+                c1 /= n
+                for ct2, c2 in z.terms.items():
+                    level._add_term(ct1.mul(ct2), c1 * c2)
+        levels.append(level)
+    return levels[-1]
 
-    return rec(d, d)
 
-
-def ci_sym(d: int) -> CycleIndex:
-    """Cycle index of Sym(d): sum over partitions with 1/prod(i^li * li!)."""
+def ci_sym(d: int, cap: int = DEFAULT_CAP) -> CycleIndex:
+    """Cycle index of Sym(d): the recurrence with x_k -> x_k."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    out = CycleIndex()
-    for lam in partitions_multiplicity(d):
-        weight = 1
-        for part, mult in lam.items():
-            weight *= part**mult * math.factorial(mult)
-        out._add_term(CycleType(lam), Fraction(1, weight))
-    return out
+    return _sym_substitute([CycleIndex.of(CycleType([(k, 1)]))
+                            for k in range(1, d + 1)], cap)
 
 
 def cc_sym(d: int) -> CycleIndex:
@@ -289,10 +285,8 @@ def ci_regular(m: int) -> CycleIndex:
     """Cycle index of the regular representation of Z/mZ."""
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    out = CycleIndex()
-    for o in divisors(m):
-        out._add_term(CycleType([(o, m // o)]), Fraction(phi(o), m))
-    return out
+    return CycleIndex([(CycleType([(o, m // o)]), Fraction(phi(o), m))
+                       for o in divisors(m)])
 
 
 def ci_hol_pp(p: int, k: int) -> CycleIndex:
@@ -300,11 +294,9 @@ def ci_hol_pp(p: int, k: int) -> CycleIndex:
     (grouped by signature) and the translations (grouped by valuation)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    counts: dict[CycleType, int] = {}
-    for sig in signatures_pp(p, k):
-        _count_affine(p, k, sig, signature_count(p**k, ((p, k, sig),)), counts)
-    order = p**k * phi(p**k)
-    return CycleIndex({ct: Fraction(n, order) for ct, n in counts.items()})
+    return _affine_counter(p, k, [(sig, signature_count(p**k, ((p, k, sig),)))
+                                  for sig in signatures_pp(p, k)],
+                           p**k * phi(p**k))
 
 
 def ci_hol(m: int) -> CycleIndex:
@@ -325,18 +317,20 @@ def polya_compose(ci_top: CycleIndex, ci_base: CycleIndex) -> CycleIndex:
     return ci_top.substitute([ci_base.stretch(i) for i in range(1, d + 1)])
 
 
-def ci_gcp(d: int, m: int) -> CycleIndex:
+def ci_gcp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
     """Cycle index of W(d,m) = Hol(Z/mZ) wr Sym(d).
 
     For m = (q-1)/d this is the cycle index of the group of index-d
     generalized cyclotomic permutations of F_q restricted to F_q^*.
     """
-    return polya_compose(ci_sym(d), ci_hol(m))
+    hol = ci_hol(m)
+    return _sym_substitute([hol.stretch(k) for k in range(1, d + 1)], cap)
 
 
-def ci_focp(d: int, m: int) -> CycleIndex:
+def ci_focp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
     """Cycle index of W1(d,m) = (Z/mZ)_reg wr Sym(d) (first-order case)."""
-    return polya_compose(ci_sym(d), ci_regular(m))
+    reg = ci_regular(m)
+    return _sym_substitute([reg.stretch(k) for k in range(1, d + 1)], cap)
 
 
 # -- unit signatures, the affine case table, equal-multiplier subgroup -------
@@ -381,17 +375,13 @@ def signature_pow(p: int, k: int, sig, ell: int):
     """Signature of a^ell given the signature of a."""
     if p == 2:
         eps, o2 = sig
-        eps_new = 1 if (eps == 1 and ell % 2 == 1) else 0
-        return (eps_new, o2 // math.gcd(o2, ell))
+        return (eps * (ell % 2), o2 // math.gcd(o2, ell))
     return sig // math.gcd(sig, ell)
 
 
 def signature_count(m: int, sigvec) -> int:
     """Number of units of Z/mZ with the given signature vector."""
-    out = 1
-    for p, k, sig in sigvec:
-        out *= phi(sig[1]) if p == 2 else phi(sig)
-    return out
+    return math.prod(phi(sig[1] if p == 2 else sig) for p, _, sig in sigvec)
 
 
 def cycle_type_pp(p: int, k: int, sig, v: int) -> CycleType:
@@ -436,14 +426,32 @@ def cycle_type_pp(p: int, k: int, sig, v: int) -> CycleType:
     return CycleType(ct)
 
 
-def _count_affine(p: int, k: int, sig, weight: int, counts: dict) -> dict:
-    """Add to counts weight times the number of b mod p^k giving each cycle
-    type of x -> ax + b, a of signature sig (phi(p^(k-v)) values of b have
-    min(nu_p(b), k) = v)."""
-    for v in range(k + 1):
-        ct = cycle_type_pp(p, k, sig, v)
-        counts[ct] = counts.get(ct, 0) + weight * phi(p ** (k - v))
-    return counts
+def _affine_counter(p: int, k: int, weighted_sigs, order: int = 1) -> CycleIndex:
+    """Sum over (sig, w) of w/order times the cycle counter of
+    {x -> ax + b : b in Z/p^kZ}, a of signature sig.
+
+    p^(k-v) values of b have nu_p(b) >= v.  From v = top on the type no
+    longer depends on v; below top, if a = 1 mod p (mod 4 for p = 2), it
+    is p^v cycles of length p^(k-v) whatever the order of a, and is keyed
+    by the signature of 1.  Each key's cycle type is built once.
+    """
+    counts: dict = {}
+    for sig, weight in weighted_sigs:
+        if p == 2:
+            one, like_one = (0, 1), not sig[0]
+            top = k - nu(2, sig[1]) if like_one else 1
+        else:
+            s = nu(p, sig)
+            one, like_one = 1, sig == p**s
+            top = k - s if like_one else 0
+        keys = [((one if like_one else sig, v), p ** (k - v) - p ** (k - v - 1))
+                for v in range(top)] + [((sig, top), p ** (k - top))]
+        for key, n in keys:
+            counts[key] = counts.get(key, 0) + weight * n
+    out = CycleIndex()
+    for (low, v), n in counts.items():
+        out._add_term(cycle_type_pp(p, k, low, v), Fraction(n, order))
+    return out
 
 
 def affine_counter_pp(p: int, k: int, sig) -> CycleIndex:
@@ -452,7 +460,7 @@ def affine_counter_pp(p: int, k: int, sig) -> CycleIndex:
     """
     if sig not in signatures_pp(p, k):
         raise ValueError(f"{sig} is not a valid signature mod {p}^{k}")
-    return CycleIndex(_count_affine(p, k, sig, 1, {}))
+    return _affine_counter(p, k, [(sig, 1)])
 
 
 def affine_counter(m: int, sigvec, ell: int) -> CycleIndex:
@@ -468,27 +476,23 @@ def affine_counter(m: int, sigvec, ell: int) -> CycleIndex:
     return out.stretch(ell)
 
 
-def ci_cp(d: int, m: int) -> CycleIndex:
+def ci_cp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
     """Cycle index of the equal-multiplier subgroup W=(d,m) of W(d,m).
 
-    For each unit signature vector, the per-power-cycle counters
-    affine_counter(m, sig, ell), normalized by m, are substituted into
-    CI(Sym(d)); the contributions are weighted by the number of units
-    with that signature over phi(m).  (Substituting the raw counters
-    into the cycle counter of Sym(d) undercounts by m^(d - #cycles);
-    the normalized substitution keeps every coefficient sum at 1, which
-    is also how the ordinary wreath-product composition works.)
+    Per unit signature vector, the Sym(d) recurrence with x_ell ->
+    affine_counter(m, sig, ell) / m (normalized, as in the ordinary
+    wreath composition: raw counters would undercount by m^(d - #cycles)),
+    weighted by the number of units with that signature over phi(m).
     """
     if d < 1 or m < 1:
         raise ValueError("need d, m >= 1")
-    sym = ci_sym(d)
     primes = factorize(m)
-    per_prime = [signatures_pp(p, k) for p, k in primes]
     total = CycleIndex()
-    for combo in itertools.product(*per_prime):
+    for combo in itertools.product(*[signatures_pp(p, k) for p, k in primes]):
         sigvec = tuple((p, k, sig) for (p, k), sig in zip(primes, combo))
-        n = signature_count(m, sigvec)
+        weight = Fraction(signature_count(m, sigvec), phi(m))
         deltas = [affine_counter(m, sigvec, ell).scale(Fraction(1, m))
                   for ell in range(1, d + 1)]
-        total = total + sym.substitute(deltas).scale(Fraction(n, phi(m)))
+        for ct, c in _sym_substitute(deltas, cap).terms.items():
+            total._add_term(ct, c * weight)
     return total

@@ -332,7 +332,7 @@ def _is_irreducible(modulus, p: int) -> bool:
 
 
 def least_primitive_root(p: int) -> int:
-    for g in range(2, p):
+    for g in range(1 if p == 2 else 2, p):  # 1 generates F_2^*
         if multiplicative_order(g, p) == p - 1:
             return g
     raise ValueError(f"{p} has no primitive root (not prime?)")

@@ -24,10 +24,8 @@ from .conjugacy import (
     is_involution_elem,
     is_long_cycle,
 )
-from .cycle_index import CycleIndex, CycleType
+from .cycle_index import DEFAULT_CAP, CycleIndex, CycleType
 from .wreath import AffineMapZ, CosetPerm, WreathElem
-
-DEFAULT_CAP = 10**7
 
 
 class ExplicitPerm:

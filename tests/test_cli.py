@@ -160,6 +160,33 @@ def test_cycle_index_sym_verify_respects_cap(capsys):
     assert "exceeds the cap 23" in out
 
 
+def test_cycle_index_refuses_an_oversized_level(capsys):
+    """Hol(Z/720720Z) has 15486 terms, so level 2 of the Sym(2) recurrence
+    bounds 239831682 terms: refused before a single product is formed."""
+    code, out = run(capsys, "cycle-index", "--group", "gcp", "--d", "2",
+                    "--m", "720720")
+    assert code == 1
+    assert "status: error" in out
+    assert "may have 239831682 terms, which exceeds the cap 10000000" in out
+    code, out = run(capsys, "cycle-index", "--group", "cp", "--d", "2",
+                    "--m", "6", "--cap", "3")
+    assert code == 1
+    assert "exceeds the cap 3" in out
+
+
+def test_commands_over_f2(capsys):
+    for argv, check in ((("to-poly", "--q", "2", "--d", "1", "--form",
+                          "f(a=[w^0], r=[1])", "--verify"),
+                         "check: pointwise-ok"),
+                        (("analyze", "--q", "2", "--d", "1", "--poly", "T",
+                          "--verify"), "verified: true"),
+                        (("invert", "--q", "2", "--d", "1", "--poly", "T",
+                          "--check"), "check: identity-ok")):
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+        assert check in out
+
+
 def test_cycle_index_param_conflict(capsys):
     code, out = run(capsys, "cycle-index", "--group", "gcp", "--q", "25",
                     "--d", "2", "--m", "11")

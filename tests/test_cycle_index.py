@@ -423,3 +423,67 @@ def test_mixed_degree_rejected():
                      (CycleType([(1, 3)]), Fraction(1))])
     with pytest.raises(ValueError):
         ci.degree()
+
+
+# The cycle-index-verify sizes of the benchmark's goldens, plus gcp 3 60.
+COMPOSE_SIZES = {
+    "gcp": [(2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 10), (2, 12), (3, 2),
+            (3, 3), (3, 4), (4, 2), (4, 3), (3, 60)],
+    "cp": [(2, 6), (2, 8), (2, 10), (2, 12), (2, 14), (2, 18), (3, 4), (3, 5),
+           (3, 6)],
+    "focp": [(2, 6), (2, 12), (2, 20), (2, 30), (3, 4), (3, 6), (3, 8),
+             (3, 12), (4, 3), (4, 4)],
+}
+
+
+def ci_cp_by_substitution(d, m):
+    """W=(d,m) by the general composition, one substitution per signature."""
+    primes = factorize(m)
+    total = CycleIndex()
+    for combo in itertools.product(*[signatures_pp(p, k) for p, k in primes]):
+        sigvec = tuple((p, k, sig) for (p, k), sig in zip(primes, combo))
+        deltas = [affine_counter(m, sigvec, ell).scale(Fraction(1, m))
+                  for ell in range(1, d + 1)]
+        weight = Fraction(signature_count(m, sigvec), phi(m))
+        total = total + ci_sym(d).substitute(deltas).scale(weight)
+    return total
+
+
+@pytest.mark.parametrize("group,d,m", [(g, d, m) for g, sizes in
+                                       COMPOSE_SIZES.items()
+                                       for d, m in sizes])
+def test_wreath_ci_equals_general_composition(group, d, m):
+    if group == "gcp":
+        assert ci_gcp(d, m) == polya_compose(ci_sym(d), ci_hol(m))
+    elif group == "focp":
+        assert ci_focp(d, m) == polya_compose(ci_sym(d), ci_regular(m))
+    else:
+        assert ci_cp(d, m) == ci_cp_by_substitution(d, m)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_ci_sym_vs_brute(d):
+    # Sym(d) is W1(d, 1)
+    assert ci_sym(d) == ci_brute(enumerate_group("W1", d, 1),
+                                 group_order("W1", d, 1))
+
+
+def test_ci_sym_has_one_term_per_partition():
+    partition_numbers = [1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135,
+                         176]
+    assert [len(ci_sym(d).terms) for d in range(1, 16)] == partition_numbers
+
+
+def test_wreath_ci_refuses_oversized_levels():
+    # level 2 of W(2, 12) multiplies 10 * 10 + 10 * 1 terms
+    assert len(ci_hol(12).terms) == 10
+    assert ci_gcp(2, 12, cap=110) == polya_compose(ci_sym(2), ci_hol(12))
+    for ci_fn in (ci_gcp, ci_focp, ci_cp):
+        with pytest.raises(ValueError, match="exceeds the cap 5"):
+            ci_fn(2, 12, cap=5)
+    # level 4 of Sym(4) bounds p(3) + p(2) + p(1) + p(0) = 7 terms
+    assert ci_sym(4, cap=7) == ci_sym(4)
+    with pytest.raises(ValueError, match="exceeds the cap 6"):
+        ci_sym(4, cap=6)
+    with pytest.raises(ValueError, match="exceeds the cap 109"):
+        ci_gcp(2, 12, cap=109)

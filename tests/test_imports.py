@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, none
-defines a private top-level function or class it never uses, and none
-but the oracle asks for the full discrete-log table.
+defines a private top-level function or class it never uses, none
+but the oracle asks for the full discrete-log table, and none composes
+cycle indices by general substitution.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -101,3 +102,31 @@ def test_dlog_table_calls_detector():
 def test_only_the_oracle_builds_the_full_dlog_table(module):
     # the full table costs q-1 products; printing and dlog use dlogs
     assert dlog_table_calls((SRC / module).read_text()) == 0
+
+
+def general_composition_calls(source: str) -> int:
+    """Calls of .substitute(...) or polya_compose(...), outside the body
+    of polya_compose itself."""
+    tree = ast.parse(source)
+    exempt = {id(node) for top in tree.body
+              if isinstance(top, ast.FunctionDef) and top.name == "polya_compose"
+              for node in ast.walk(top)}
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and id(node) not in exempt
+               and (getattr(node.func, "attr", None) == "substitute"
+                    or getattr(node.func, "id", None) == "polya_compose"))
+
+
+def test_general_composition_calls_detector():
+    source = ("def polya_compose(top, base):\n"
+              "    return top.substitute([base])\n"
+              "a = polya_compose(x, y)\nb = x.substitute([y])\n"
+              "c = x.substitute\nd = x.stretch(2)\n")
+    assert general_composition_calls(source) == 2
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_no_general_composition_in_the_package(module):
+    # every Sym(d) composition goes through cycle_index._sym_substitute;
+    # polya_compose and CycleIndex.substitute are references for tests
+    assert general_composition_calls((SRC / module).read_text()) == 0
