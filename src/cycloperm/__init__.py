@@ -42,7 +42,6 @@ from .forms import (
     poly_to_cyclotomic,
 )
 from .wreath import (
-    AffineMapC,
     AffineMapZ,
     CosetPerm,
     WreathElem,

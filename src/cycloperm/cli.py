@@ -134,14 +134,13 @@ def cmd_analyze(args) -> int:
             pass
         payload.update(status="rejected", reason=exc.code)
         return _emit(args, payload)
-    wc = cyclotomic_to_wreath(analysis.form, analysis.psi)
-    wz = wc.to_z()
+    wz = cyclotomic_to_wreath(analysis.form, analysis.psi)
     ct = cycle_type_wreath(wz)
     payload.update({
         "cyclotomic": str(analysis.form),
         "permutation": True,
         "psi": str(analysis.psi),
-        "wreath_c": str(wc),
+        "wreath_c": wz.str_over_c(),
         "wreath_z": str(wz),
         "cycle_type": str(ct),
     })

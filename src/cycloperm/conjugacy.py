@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 from .arith import crt_basis, factorize, rad_prime, units
 from .field import CyclotomicContext
-from .wreath import AffineMapZ, CosetPerm, WreathElem, fcp
+from .wreath import (AffineMapZ, CosetPerm, WreathElem, fcp,
+                     wreath_to_cyclotomic)
 
 
 def knuth_is_full_cycle(a: int, b: int, m: int) -> bool:
@@ -94,25 +95,24 @@ def conjugacy_invariant(g: WreathElem, mode: str = "W"):
     subgroup): additionally the common multiplier; input must have
     constant multipliers.
     """
-    gz = g.to_z()
     by_len: dict[int, list[HolClassId]] = {}
-    for cycle in gz.psi.cycles():
-        by_len.setdefault(len(cycle), []).append(hol_class_id(fcp(gz, cycle)))
+    for cycle in g.psi.cycles():
+        by_len.setdefault(len(cycle), []).append(hol_class_id(fcp(g, cycle)))
     fingerprint = tuple(sorted(
         (length, tuple(sorted(ids))) for length, ids in by_len.items()))
     if mode == "W":
-        return (gz.psi.cycle_type(), fingerprint)
+        return (g.psi.cycle_type(), fingerprint)
     if mode == "Weq":
-        multipliers = {m.a for m in gz.maps}
+        multipliers = {m.a for m in g.maps}
         if len(multipliers) != 1:
             raise ValueError("Weq mode needs a constant multiplier")
-        return (gz.psi.cycle_type(), multipliers.pop(), fingerprint)
+        return (g.psi.cycle_type(), multipliers.pop(), fingerprint)
     raise ValueError(f"unknown mode {mode!r}")
 
 
 def wreath_conjugate(g: WreathElem, h: WreathElem, mode: str = "W") -> bool:
     """Conjugacy test: in W(d,m) for mode 'W', within W=(d,m) for 'Weq'."""
-    if g.to_z().m != h.to_z().m or g.d != h.d:
+    if g.m != h.m or g.d != h.d:
         raise ValueError("wreath elements have different shapes")
     return conjugacy_invariant(g, mode) == conjugacy_invariant(h, mode)
 
@@ -153,11 +153,10 @@ def hol_involution_reps(m: int) -> list[AffineMapZ]:
 def is_long_cycle(g: WreathElem) -> bool:
     """True iff g is a (d*m)-cycle: psi a single d-cycle whose forward
     cycle product satisfies the full-cycle criterion."""
-    gz = g.to_z()
-    cycles = gz.psi.cycles()
+    cycles = g.psi.cycles()
     if len(cycles) != 1:
         return False
-    prod = fcp(gz, cycles[0])
+    prod = fcp(g, cycles[0])
     return knuth_is_full_cycle(prod.a, prod.b, prod.m)
 
 
@@ -165,28 +164,26 @@ def is_involution_elem(g: WreathElem) -> bool:
     """True iff g*g is the identity (the identity itself counts): psi an
     involution, paired components mutually inverse, fixed components
     involutions in Hol."""
-    gz = g.to_z()
-    if not gz.psi.is_involution():
+    if not g.psi.is_involution():
         return False
-    for cycle in gz.psi.cycles():
+    for cycle in g.psi.cycles():
         if len(cycle) == 2:
             i, j = cycle
-            if gz.maps[j] != gz.maps[i].inverse():
+            if g.maps[j] != g.maps[i].inverse():
                 return False
         else:
-            if not gz.maps[cycle[0]].is_involution():
+            if not g.maps[cycle[0]].is_involution():
                 return False
     return True
 
 
 def classify_wreath(g: WreathElem) -> str:
     """'identity' | 'long-cycle' | 'involution' | 'neither'."""
-    gz = g.to_z()
-    if gz.is_identity():
+    if g.is_identity():
         return "identity"
-    if is_long_cycle(gz):
+    if is_long_cycle(g):
         return "long-cycle"
-    if is_involution_elem(gz):
+    if is_involution_elem(g):
         return "involution"
     return "neither"
 
@@ -273,20 +270,19 @@ def reps_as_cyclotomic(group: str, kind: str, ctx: CyclotomicContext) -> list:
     """Representative systems at field level, in cyclotomic form.
 
     Takes the wreath representatives for the matching group over
-    m = (q-1)/d, rewrites them over C (b -> omega^(d*b)) and maps them
-    through the form isomorphism.  Every output is verified to be a
-    permutation form of the claimed kind (full cycle on F_q^* resp.
-    involution), by materializing it; a failure raises ValueError.
+    m = (q-1)/d and maps them through the form isomorphism.  Every
+    output is verified to be a permutation form of the claimed kind
+    (full cycle on F_q^* resp. involution), by materializing it; a
+    failure raises ValueError.
     """
     from .oracle import materialize  # oracle imports this module
-    from .wreath import wreath_to_cyclotomic
     if group not in FIELD_GROUP_TO_WREATH:
         raise ValueError(f"unknown field-level group {group!r}")
     system = rep_system(FIELD_GROUP_TO_WREATH[group], kind, ctx.d, ctx.m)
     lengths = {ctx.field.q - 1} if kind == "long-cycle" else {1, 2}
     out = []
     for g in system.reps:
-        form = wreath_to_cyclotomic(g.to_c(ctx))
+        form = wreath_to_cyclotomic(g, ctx)
         ct = materialize(form).cycle_type()
         if not {length for length, _ in ct.counts} <= lengths:
             raise ValueError(f"representative {g} maps to {form}, which "

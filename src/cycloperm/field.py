@@ -344,21 +344,25 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     Conway polynomial from the built-in table when available; x - r with
     r the least primitive root for k = 1; otherwise the lexicographically
     smallest primitive polynomial (by the coefficient tuple c0..c_{k-1}).
+    A candidate is skipped unless (-1)^k c0, the norm of x, is a
+    primitive root mod p (the norm maps generators onto generators);
+    otherwise it must be irreducible, and x^((q-1)/l) != 1 for each
+    prime l | q-1.
     """
     if k == 1:
         return ((-least_primitive_root(p)) % p, 1)
     if (p, k) in CONWAY_TABLE:
         return CONWAY_TABLE[(p, k)]
     import itertools
+    n = p**k - 1
+    primes = [ell for ell, _ in factorize(n)]
+    norms = {(-1) ** k * c % p for c in range(1, p)
+             if multiplicative_order(c, p) == p - 1}
     for tail in itertools.product(range(p), repeat=k):
         cand = tuple(tail) + (1,)
-        if cand[0] == 0 or not _is_irreducible(cand, p):
-            continue
-        try:
-            FqConfig(p, k, cand, (0, 1) + (0,) * (k - 2))
-        except ValueError:
-            continue
-        return cand
+        if cand[0] in norms and _is_irreducible(cand, p) and all(
+                _x_power_mod(n // ell, cand, p) != [1] for ell in primes):
+            return cand
     raise ValueError(f"no primitive polynomial found for p={p}, k={k}")
 
 

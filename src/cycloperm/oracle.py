@@ -113,12 +113,11 @@ def materialize(obj) -> ExplicitPerm:
         return ExplicitPerm(_check_bijection(
             [obj.apply(x) for x in range(obj.m)], lambda x: x))
     if isinstance(obj, WreathElem):
-        gz = obj.to_z()
-        d, m = gz.d, gz.m
+        d, m = obj.d, obj.m
         images = []
         for idx in range(d * m):
             x, i = idx % m, idx // m
-            y, j = gz.apply((x, i))
+            y, j = obj.apply((x, i))
             images.append(y + m * j)
         return ExplicitPerm(_check_bijection(
             images, lambda idx: (idx % m, idx // m)))

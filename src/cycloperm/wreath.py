@@ -1,5 +1,5 @@
-"""Affine permutation groups of Z/mZ and of the subgroup C, their
-imprimitive wreath products with Sym(d), and exact cycle types.
+"""Affine permutation groups of Z/mZ, their imprimitive wreath products
+with Sym(d), and exact cycle types.
 
 Conventions (used consistently everywhere):
 
@@ -19,9 +19,13 @@ the star product.  The cycle type of a wreath element is the product
 over the cycles of psi of the (cycle-length)-stretched type of the
 forward cycle product along that cycle.
 
-Switching between a wreath element over C and the cyclotomic form of
-the permutation it induces on F_q^* is the group isomorphism behind
-everything else here; the pairing is (c, i) <-> c * omega^i.
+Wreath elements live over Z/mZ only.  The index-d subgroup C of F_q^*
+appears solely in the pairing (b, i) <-> omega^(d*b + i), which labels
+F_q^* by (Z/mZ) x {0..d-1} through the generator omega^d of C.
+Switching between a wreath element and the cyclotomic form of the
+permutation it induces on F_q^* through that pairing is the group
+isomorphism behind everything else here; both directions are integer
+arithmetic on discrete logs.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import re
 
 from .arith import nu_cap, rem1
 from .cycle_index import CycleType, cycle_type_pp, signature_of
-from .field import CyclotomicContext, FqElem, dlog
+from .field import CyclotomicContext
 
 
 class CosetPerm:
@@ -192,83 +196,18 @@ class AffineMapZ:
         return cls(int(m.group(3)), int(m.group(1)), int(m.group(2)))
 
 
-class AffineMapC:
-    """c -> b * c^r on the index-d subgroup C, gcd(r, m) = 1, b in C."""
-
-    __slots__ = ("ctx", "r", "c")
-
-    def __init__(self, ctx: CyclotomicContext, r: int, c: FqElem):
-        r = rem1(r, ctx.m)
-        if math.gcd(r, ctx.m) != 1:
-            raise ValueError(f"exponent {r} is not coprime to m={ctx.m}")
-        if c ** ctx.m != ctx.field.one:
-            raise ValueError(f"{c} is not in the index-{ctx.d} subgroup")
-        self.ctx = ctx
-        self.r = r
-        self.c = c
-
-    @classmethod
-    def identity(cls, ctx) -> "AffineMapC":
-        return cls(ctx, 1, ctx.field.one)
-
-    def apply(self, x: FqElem) -> FqElem:
-        return self.c * x**self.r
-
-    def compose(self, other: "AffineMapC") -> "AffineMapC":
-        """self * other: apply self first, then other."""
-        if other.ctx is not self.ctx:
-            raise ValueError("context mismatch")
-        return AffineMapC(self.ctx, self.r * other.r,
-                          other.c * self.c**other.r)
-
-    def to_z(self) -> AffineMapZ:
-        """Rewrite over Z/mZ via the generator omega^d of C (one dlog)."""
-        ctx = self.ctx
-        gen = ctx.field.omega**ctx.d
-        b = dlog(ctx.field, gen, self.c) if not self.c == ctx.field.one else 0
-        return AffineMapZ(ctx.m, self.r % ctx.m, b)
-
-    @classmethod
-    def from_z(cls, ctx, g: AffineMapZ) -> "AffineMapC":
-        """Inverse rewriting: b -> omega^(d*b)."""
-        if g.m != ctx.m:
-            raise ValueError(f"modulus {g.m} does not match m={ctx.m}")
-        return cls(ctx, rem1(g.a, ctx.m), ctx.field.omega ** (ctx.d * g.b))
-
-    def __eq__(self, other):
-        return (isinstance(other, AffineMapC) and other.ctx is self.ctx
-                and other.r == self.r and other.c == self.c)
-
-    def __hash__(self):
-        return hash((self.r, self.c))
-
-    def __str__(self):
-        return f"lam({self.r},{self.ctx.field.elem_str(self.c)})"
-
-    def __repr__(self):
-        return f"AffineMapC({str(self)})"
-
-
 class WreathElem:
-    """(psi, (g_0, ..., g_{d-1})): permute copies by psi, act per copy."""
+    """(psi, (g_0, ..., g_{d-1})) in Hol(Z/mZ) wr Sym(d): permute copies
+    by psi, act per copy."""
 
-    __slots__ = ("flavor", "psi", "maps")
+    __slots__ = ("psi", "maps")
 
     def __init__(self, psi: CosetPerm, maps):
         maps = tuple(maps)
         if len(maps) != psi.d:
             raise ValueError(f"need {psi.d} component maps, got {len(maps)}")
-        if all(isinstance(g, AffineMapZ) for g in maps):
-            flavor = "Z"
-            if len({g.m for g in maps}) > 1:
-                raise ValueError("component maps have mixed moduli")
-        elif all(isinstance(g, AffineMapC) for g in maps):
-            flavor = "C"
-            if len({id(g.ctx) for g in maps}) > 1:
-                raise ValueError("component maps have mixed contexts")
-        else:
-            raise ValueError("component maps have mixed flavors")
-        self.flavor = flavor
+        if len({g.m for g in maps}) > 1:
+            raise ValueError("component maps have mixed moduli")
         self.psi = psi
         self.maps = maps
 
@@ -276,21 +215,16 @@ class WreathElem:
     def identity_z(cls, d: int, m: int) -> "WreathElem":
         return cls(CosetPerm.identity(d), [AffineMapZ.identity(m)] * d)
 
-    @classmethod
-    def identity_c(cls, ctx) -> "WreathElem":
-        return cls(CosetPerm.identity(ctx.d), [AffineMapC.identity(ctx)] * ctx.d)
-
     @property
     def d(self) -> int:
         return self.psi.d
 
     @property
     def m(self) -> int:
-        return self.maps[0].m if self.flavor == "Z" else self.maps[0].ctx.m
+        return self.maps[0].m
 
     def _check(self, other):
-        if (other.flavor != self.flavor or other.d != self.d
-                or other.m != self.m):
+        if other.d != self.d or other.m != self.m:
             raise ValueError("wreath elements have different shapes")
 
     def compose(self, other: "WreathElem") -> "WreathElem":
@@ -312,27 +246,12 @@ class WreathElem:
         return (self.maps[j].apply(x), j)
 
     def is_identity(self) -> bool:
-        if not self.psi.is_identity():
-            return False
-        if self.flavor == "Z":
-            return all(g.is_identity() for g in self.maps)
-        return all(g.r % self.m == 1 % self.m
-                   and g.c == g.ctx.field.one for g in self.maps)
-
-    def to_z(self) -> "WreathElem":
-        if self.flavor == "Z":
-            return self
-        return WreathElem(self.psi, [g.to_z() for g in self.maps])
-
-    def to_c(self, ctx) -> "WreathElem":
-        if self.flavor == "C":
-            return self
-        return WreathElem(self.psi,
-                          [AffineMapC.from_z(ctx, g) for g in self.maps])
+        return (self.psi.is_identity()
+                and all(g.is_identity() for g in self.maps))
 
     def __eq__(self, other):
-        return (isinstance(other, WreathElem) and other.flavor == self.flavor
-                and other.psi == self.psi and other.maps == self.maps)
+        return (isinstance(other, WreathElem) and other.psi == self.psi
+                and other.maps == self.maps)
 
     def __hash__(self):
         return hash((self.psi, self.maps))
@@ -343,10 +262,16 @@ class WreathElem:
     def __repr__(self):
         return f"WreathElem({str(self)})"
 
+    def str_over_c(self) -> str:
+        """The element over C, each lam(a,b)@m printed as
+        lam(rem1(a,m),w^(d*b)): b labels omega^(d*b) in C."""
+        m = self.m
+        return f"({self.psi}; " + ", ".join(
+            f"lam({rem1(g.a, m)},w^{self.d * g.b})" for g in self.maps) + ")"
+
     @classmethod
-    def parse(cls, text: str, ctx=None) -> "WreathElem":
-        """Parse '(CYCLES; lam(a,b)@m, ...)' or, with a context,
-        '(CYCLES; lam(r,w^E), ...)'."""
+    def parse(cls, text: str) -> "WreathElem":
+        """Parse '(CYCLES; lam(a,b)@m, ...)'."""
         text = text.strip()
         if not (text.startswith("(") and text.endswith(")")):
             raise ValueError(f"cannot parse wreath element {text!r}")
@@ -362,24 +287,11 @@ class WreathElem:
                 buf = ""
         if buf:
             raise ValueError(f"unbalanced parentheses in {text!r}")
-        d = len(maps_text)
-        psi = CosetPerm.parse(d, head.strip())
-        if all("@" in s for s in maps_text):
-            maps = [AffineMapZ.parse(s) for s in maps_text]
-        else:
-            if ctx is None:
-                raise ValueError("need a context to parse maps over C")
-            maps = []
-            for s in maps_text:
-                m = re.fullmatch(r"lam\((-?\d+),(.+)\)", s.strip())
-                if not m:
-                    raise ValueError(f"cannot parse affine map {s!r}")
-                maps.append(AffineMapC(ctx, int(m.group(1)),
-                                       ctx.field.parse_elem(m.group(2))))
-        return cls(psi, maps)
+        psi = CosetPerm.parse(len(maps_text), head.strip())
+        return cls(psi, [AffineMapZ.parse(s) for s in maps_text])
 
 
-def fcp(g: WreathElem, cycle) -> "AffineMapZ | AffineMapC":
+def fcp(g: WreathElem, cycle) -> AffineMapZ:
     """Forward cycle product g_{i0} * g_{i1} * ... along a cycle of psi.
 
     The cycle must be one of g.psi.cycles() (minimal element first);
@@ -412,54 +324,48 @@ def cycle_type_affine(g: AffineMapZ) -> CycleType:
 def cycle_type_wreath(g: WreathElem) -> CycleType:
     """Cycle type on (Z/mZ) x {0..d-1}: product over the cycles of psi of
     the stretched type of the forward cycle product."""
-    gz = g.to_z()
     out = CycleType([])
-    for cycle in gz.psi.cycles():
-        ct = cycle_type_affine(fcp(gz, cycle))
+    for cycle in g.psi.cycles():
+        ct = cycle_type_affine(fcp(g, cycle))
         out = out.mul(ct.stretch(len(cycle)))
     return out
 
 
 # -- switching with cyclotomic forms ------------------------------------------
 
-def pair_to_field(ctx: CyclotomicContext, c: FqElem, i: int) -> FqElem:
-    """(c, i) -> c * omega^i."""
-    return c * ctx.field.omega**i
-
-
-def field_to_pair(ctx: CyclotomicContext, x: FqElem) -> tuple[FqElem, int]:
-    """x -> (x * omega^-i, i) with i the coset index of x."""
-    i = ctx.coset_index(x)
-    return x * ctx.field.omega**(-i), i
-
-
-def wreath_to_cyclotomic(g: WreathElem):
-    """Cyclotomic form of the permutation of F_q^* induced by g over C:
-    a_i = omega^(psi(i) - i*s_psi(i)) * b_psi(i), r_i = s_psi(i)."""
+def wreath_to_cyclotomic(g: WreathElem, ctx: CyclotomicContext):
+    """Cyclotomic form of the permutation of F_q^* that g induces through
+    the pairing: with j = psi(i), g_j = lam(s, b_j) and s in 1..m,
+    a_i = omega^(j - i*s + d*b_j) and r_i = s."""
     from .forms import CyclotomicForm
-    if g.flavor != "C":
-        raise ValueError("need a wreath element over C")
-    ctx = g.maps[0].ctx
+    if (g.d, g.m) != (ctx.d, ctx.m):
+        raise ValueError(f"wreath element over (d, m) = ({g.d}, {g.m}) does "
+                         f"not match the context's ({ctx.d}, {ctx.m})")
     omega = ctx.field.omega
     a = []
     r = []
     for i in range(g.d):
         j = g.psi(i)
-        s = g.maps[j].r
-        a.append(omega ** (j - i * s) * g.maps[j].c)
-        r.append(rem1(s, ctx.m))
+        s = rem1(g.maps[j].a, ctx.m)  # r_i is in 1..m: a % m is 0 at m = 1
+        a.append(omega ** (j - i * s + ctx.d * g.maps[j].b))
+        r.append(s)
     return CyclotomicForm(ctx, a, r)
 
 
 def cyclotomic_to_wreath(f, psi: CosetPerm) -> WreathElem:
-    """Wreath element over C with the given coset permutation:
-    component i is lam(r_{psi^-1(i)}, omega^(r_{psi^-1(i)} psi^-1(i) - i) * a_{psi^-1(i)})."""
+    """Wreath element with coset permutation psi of the form f, from one
+    dlogs batch of its coefficients: with j = psi^-1(i) and L_j the log
+    of a_j, component i is lam(r_j, (L_j + r_j*j - i)/d).  Raises
+    ValueError when d does not divide L_j + r_j*j - i, that is, when
+    branch j does not map C_j into C_i."""
     ctx = f.ctx
-    omega = ctx.field.omega
+    logs = ctx.field.dlogs(f.a)
     psi_inv = psi.inverse()
     maps = []
     for i in range(ctx.d):
         j = psi_inv(i)
-        c = omega ** (f.r[j] * j - i) * f.a[j]
-        maps.append(AffineMapC(ctx, f.r[j], c))
+        e = logs[j] + f.r[j] * j - i
+        if e % ctx.d:
+            raise ValueError(f"branch {j} does not map C_{j} into C_{i}")
+        maps.append(AffineMapZ(ctx.m, f.r[j], e // ctx.d))
     return WreathElem(psi, maps)

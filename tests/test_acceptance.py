@@ -47,7 +47,6 @@ from cycloperm.oracle import (
     pointwise,
 )
 from cycloperm.wreath import (
-    AffineMapC,
     AffineMapZ,
     CosetPerm,
     cycle_type_affine,
@@ -76,12 +75,10 @@ def test_criterion_1_worked_example(ctx25d2):
     assert analysis.form.a == (w**5, w**21)
     assert analysis.form.r == (7, 5)
     assert analysis.psi == CosetPerm((1, 0))
-    wreath_c = cyclotomic_to_wreath(analysis.form, analysis.psi)
-    assert wreath_c.maps[0] == AffineMapC(ctx25d2, 5, w**2)
-    assert wreath_c.maps[1] == AffineMapC(ctx25d2, 7, w**4)
-    wreath_z = wreath_c.to_z()
+    wreath_z = cyclotomic_to_wreath(analysis.form, analysis.psi)
     assert wreath_z.maps[0] == AffineMapZ(12, 5, 1)
     assert wreath_z.maps[1] == AffineMapZ(12, 7, 2)
+    assert wreath_z.str_over_c() == "((0,1); lam(5,w^2), lam(7,w^4))"
     assert cycle_type_wreath(wreath_z) == CycleType([(4, 6)])
     assert materialize(analysis.form).cycle_type() == CycleType([(4, 6)])
     print("ACCEPTANCE 1: PASS - worked example (form, psi, wreath, x4^6)")

@@ -34,6 +34,29 @@ cycle_type: x4^6
 """
 
 
+def test_analyze_golden_at_m_1(capsys):
+    # d = q-1 gives m = 1: over C every exponent prints as rem1(a, 1) = 1
+    # and every translation as w^0, while over Z/1Z both are 0
+    code, out = run(capsys, "analyze", "--q", "7", "--d", "6",
+                    "--poly", "w^3*T")
+    assert code == 0
+    assert out == """\
+status: ok
+field: q=7 modulus=[4, 1]
+d: 6
+m: 1
+poly: w^3*T
+cyclotomic: f(a=[w^3,w^3,w^3,w^3,w^3,w^3], r=[1,1,1,1,1,1])
+permutation: true
+psi: (0,3)(1,4)(2,5)
+wreath_c: ((0,3)(1,4)(2,5); lam(1,w^0), lam(1,w^0), lam(1,w^0), \
+lam(1,w^0), lam(1,w^0), lam(1,w^0))
+wreath_z: ((0,3)(1,4)(2,5); lam(0,0)@1, lam(0,0)@1, lam(0,0)@1, \
+lam(0,0)@1, lam(0,0)@1, lam(0,0)@1)
+cycle_type: x2^3
+"""
+
+
 def test_analyze_identity(capsys):
     code, out = run(capsys, "analyze", "--q", "25", "--d", "2", "--poly", "T")
     assert code == 0
@@ -221,6 +244,16 @@ def test_reps_focp_long_cycle(capsys):
     assert code == 0
     assert "count: 1" in out
     assert "rep: f(a=[w^1,w^1], r=[1,1])" in out
+
+
+@pytest.mark.parametrize("group", ["gcp", "focp", "cp"])
+@pytest.mark.parametrize("kind", ["long-cycle", "involution"])
+def test_reps_at_m_1(capsys, group, kind):
+    # d = q-1: each wreath multiplier is 0 mod 1 but the form's exponent 1
+    code, out = run(capsys, "reps", "--group", group, "--kind", kind,
+                    "--q", "13", "--d", "12")
+    assert code == 0, out
+    assert "r=[1,1,1,1,1,1,1,1,1,1,1,1]" in out
 
 
 def test_reps_weq_verified(capsys):

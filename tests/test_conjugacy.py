@@ -385,7 +385,7 @@ def test_cp_long_cycle_display_is_alternate_representative(ctx_cache):
 
     def to_wreath_z(form):
         psi = analyze_permutation(cyclotomic_to_poly(form), ctx).psi
-        return cyclotomic_to_wreath(form, psi).to_z()
+        return cyclotomic_to_wreath(form, psi)
 
     assert wreath_conjugate(to_wreath_z(printed), to_wreath_z(emitted), "Weq")
 
@@ -409,7 +409,7 @@ def test_gcp_involution_display_diagnostic(ctx25d2):
 
     def to_wreath_z(form):
         psi = analyze_permutation(cyclotomic_to_poly(form), ctx).psi
-        return cyclotomic_to_wreath(form, psi).to_z()
+        return cyclotomic_to_wreath(form, psi)
 
     emitted = reps_as_cyclotomic("GCP", "involution", ctx)
     wreath_reps = rep_system("W", "involution", d, m).reps

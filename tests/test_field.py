@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -5,11 +6,12 @@ import threading
 
 import pytest
 
-from cycloperm.arith import factorize
+from cycloperm.arith import factorize, is_prime
 from cycloperm.field import (
     CONWAY_TABLE,
     CyclotomicContext,
     FqConfig,
+    default_modulus,
     dlog,
     make_field,
     _is_irreducible,
@@ -45,6 +47,43 @@ def test_conway_table_entries_are_primitive():
         cfg = make_field(p, k)  # construction verifies omega = class of x
         assert list(cfg.modulus) == list(modulus)
         assert cfg.omega.coeffs == (0, 1) + (0,) * (k - 2)
+
+
+def reference_default_modulus(p, k):
+    """The search default_modulus replaced: the first irreducible
+    candidate that an FqConfig with omega = x accepts."""
+    for tail in itertools.product(range(p), repeat=k):
+        cand = tuple(tail) + (1,)
+        if cand[0] == 0 or not _is_irreducible(cand, p):
+            continue
+        try:
+            FqConfig(p, k, cand, (0, 1) + (0,) * (k - 2))
+        except ValueError:
+            continue
+        return cand
+
+
+NON_CONWAY_UP_TO_2_12 = [
+    (p, k) for p in range(2, 65) if is_prime(p)
+    for k in range(2, 13) if p**k <= 2**12 and (p, k) not in CONWAY_TABLE]
+
+
+def test_default_modulus_equals_the_reference_search():
+    assert len(NON_CONWAY_UP_TO_2_12) == 25
+    for p, k in NON_CONWAY_UP_TO_2_12:
+        assert default_modulus(p, k) == reference_default_modulus(p, k), (p, k)
+
+
+def test_default_modulus_recorded_values():
+    # recorded from the reference search
+    assert default_modulus(2, 13) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1)
+    assert default_modulus(2, 14) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0,
+                                      1, 1)
+    assert default_modulus(2, 15) == (1,) + (0,) * 13 + (1, 1)
+    assert default_modulus(2, 16) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+                                      1, 1, 0, 1)
+    assert default_modulus(3, 8) == (2, 0, 0, 0, 0, 1, 0, 0, 1)
+    assert default_modulus(3, 10) == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
 
 
 def test_arith_examples(f25):

@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, none
 defines a private top-level function or class it never uses, none
-but the oracle asks for the full discrete-log table, and none composes
-cycle indices by general substitution.
+but the oracle asks for the full discrete-log table, none but the field
+takes single discrete logs, and none composes cycle indices by general
+substitution.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -84,24 +85,38 @@ def test_no_unreferenced_privates(module):
     assert unreferenced_privates((SRC / module).read_text()) == []
 
 
-def dlog_table_calls(source: str) -> int:
-    """Calls of anything named dlog_table, as a function or a method."""
+def calls_of(source: str, name: str) -> int:
+    """Calls of anything with the given name, as a function or a method."""
     return sum(1 for node in ast.walk(ast.parse(source))
                if isinstance(node, ast.Call)
-               and "dlog_table" in (getattr(node.func, "attr", None),
-                                    getattr(node.func, "id", None)))
+               and name in (getattr(node.func, "attr", None),
+                            getattr(node.func, "id", None)))
 
 
 def test_dlog_table_calls_detector():
     source = ("def dlog_table():\n    return {}\n"
               "t = cfg.dlog_table()\nu = dlog_table()\nv = cfg.dlog_table\n")
-    assert dlog_table_calls(source) == 2
+    assert calls_of(source, "dlog_table") == 2
+
+
+def test_dlog_calls_detector():
+    source = ("from .field import dlog\n"
+              "a = dlog(cfg, w, x)\nb = field.dlog(cfg, w, x)\n"
+              "c = cfg.dlogs([x])\nd = dlog\n")
+    assert calls_of(source, "dlog") == 2
 
 
 @pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "oracle.py"])
 def test_only_the_oracle_builds_the_full_dlog_table(module):
     # the full table costs q-1 products; printing and dlog use dlogs
-    assert dlog_table_calls((SRC / module).read_text()) == 0
+    assert calls_of((SRC / module).read_text(), "dlog_table") == 0
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "field.py"])
+def test_only_the_field_takes_single_dlogs(module):
+    # package code logs in FqConfig.dlogs batches; each dlog call is a
+    # batch of its own, with its own giant steps
+    assert calls_of((SRC / module).read_text(), "dlog") == 0
 
 
 def general_composition_calls(source: str) -> int:

@@ -113,8 +113,9 @@ def test_conjugate_brute_examples():
 
 def test_equivariance_at_array_level(ctx25d2):
     """Materializing iota(g) equals transporting the wreath action through
-    the pairing (c, i) <-> c*omega^i, as arrays."""
-    from cycloperm.wreath import pair_to_field, wreath_to_cyclotomic
+    the pairing (b, i) <-> omega^(d*b + i), as arrays; the reference finds
+    (b, i) by coset_index and dlog, not by the conversion's arithmetic."""
+    from cycloperm.wreath import wreath_to_cyclotomic
     from cycloperm.field import dlog
     rng = random.Random(1)
     ctx = ctx25d2
@@ -125,8 +126,7 @@ def test_equivariance_at_array_level(ctx25d2):
         psi = CosetPerm(rng.sample(range(2), 2))
         gz = WreathElem(psi, [AffineMapZ(12, rng.choice([1, 5, 7, 11]),
                                          rng.randrange(12)) for _ in range(2)])
-        gc = gz.to_c(ctx)
-        direct = materialize(wreath_to_cyclotomic(gc))
+        direct = materialize(wreath_to_cyclotomic(gz, ctx))
         transported = []
         for e in range(cfg.q - 1):
             x = cfg.omega**e
@@ -134,6 +134,6 @@ def test_equivariance_at_array_level(ctx25d2):
             c = x * cfg.omega**(-i)
             pos = dlog(cfg, gen, c) if c != cfg.one else 0
             y, j = gz.apply((pos, i))
-            img = pair_to_field(ctx, gen**y, j)
+            img = gen**y * cfg.omega**j
             transported.append(table[img.coeffs])
         assert list(direct.images) == transported

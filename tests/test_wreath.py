@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from cycloperm.cycle_index import CycleType
 from cycloperm.forms import CyclotomicForm, eval_cyclotomic
 from cycloperm.oracle import materialize
 from cycloperm.wreath import (
-    AffineMapC,
     AffineMapZ,
     CosetPerm,
     WreathElem,
@@ -16,10 +14,9 @@ from cycloperm.wreath import (
     cycle_type_wreath,
     cyclotomic_to_wreath,
     fcp,
-    field_to_pair,
-    pair_to_field,
     wreath_to_cyclotomic,
 )
+from tests_helpers import random_wreath
 
 
 def random_hol(m, rng):
@@ -29,16 +26,6 @@ def random_hol(m, rng):
 def random_wreath_z(d, m, rng):
     psi = CosetPerm(rng.sample(range(d), d))
     return WreathElem(psi, [random_hol(m, rng) for _ in range(d)])
-
-
-def random_wreath_c(ctx, rng):
-    d, m, q = ctx.d, ctx.m, ctx.field.q
-    psi = CosetPerm(rng.sample(range(d), d))
-    coprime = [r for r in range(1, m + 1) if math.gcd(r, m) == 1]
-    maps = [AffineMapC(ctx, rng.choice(coprime),
-                       ctx.field.omega ** (ctx.d * rng.randrange(m)))
-            for _ in range(d)]
-    return WreathElem(psi, maps)
 
 
 def test_hol_compose_known_product():
@@ -126,14 +113,14 @@ def test_wreath_shape_mismatch():
 def test_iota_demo_example(ctx25d2):
     w = ctx25d2.field.omega
     g = WreathElem(CosetPerm((1, 0)),
-                   [AffineMapC(ctx25d2, 5, w**2), AffineMapC(ctx25d2, 7, w**4)])
-    form = wreath_to_cyclotomic(g)
+                   [AffineMapZ(12, 5, 1), AffineMapZ(12, 7, 2)])
+    form = wreath_to_cyclotomic(g, ctx25d2)
     assert form.a == (w**5, w**21)
     assert form.r == (7, 5)
 
 
 def test_iota_identity(ctx25d2):
-    form = wreath_to_cyclotomic(WreathElem.identity_c(ctx25d2))
+    form = wreath_to_cyclotomic(WreathElem.identity_z(2, 12), ctx25d2)
     assert form == CyclotomicForm.identity(ctx25d2)
 
 
@@ -142,35 +129,55 @@ def test_iota_inverse_demo_example(ctx25d2):
     form = CyclotomicForm(ctx25d2, (w**5, w**21), (7, 5))
     g = cyclotomic_to_wreath(form, CosetPerm((1, 0)))
     assert g.psi.images == (1, 0)
-    assert g.maps[0] == AffineMapC(ctx25d2, 5, w**2)
-    assert g.maps[1] == AffineMapC(ctx25d2, 7, w**4)
+    assert g.maps == (AffineMapZ(12, 5, 1), AffineMapZ(12, 7, 2))
+    assert g.str_over_c() == "((0,1); lam(5,w^2), lam(7,w^4))"
+    ident = cyclotomic_to_wreath(CyclotomicForm.identity(ctx25d2),
+                                 CosetPerm.identity(2))
+    assert ident == WreathElem.identity_z(2, 12)
+
+
+def test_cyclotomic_to_wreath_rejects_foreign_psi(ctx25d2):
+    w = ctx25d2.field.omega
+    form = CyclotomicForm(ctx25d2, (w**5, w**21), (7, 5))  # its psi is (0,1)
+    with pytest.raises(ValueError):
+        cyclotomic_to_wreath(form, CosetPerm((0, 1)))
+
+
+def test_wreath_to_cyclotomic_rejects_other_shapes(ctx25d2):
+    for d, m in ((2, 6), (3, 12), (1, 24)):
+        with pytest.raises(ValueError):
+            wreath_to_cyclotomic(WreathElem.identity_z(d, m), ctx25d2)
+
+
+# (7, 6) and (13, 12) have m = 1, where the exponent rem1(a, m) = 1
+# differs from the residue a % m = 0
+IOTA_FIELDS = ((25, 2), (27, 13), (49, 6), (7, 6), (13, 12))
 
 
 def test_iota_round_trip(ctx_cache):
     rng = random.Random(3)
-    for q, d in ((25, 2), (27, 13), (49, 6)):
+    for q, d in IOTA_FIELDS:
         ctx = ctx_cache(q, d)
         for _ in range(170):
-            g = random_wreath_c(ctx, rng)
-            form = wreath_to_cyclotomic(g)
+            g = random_wreath(ctx, rng)
+            form = wreath_to_cyclotomic(g, ctx)
             back = cyclotomic_to_wreath(form, g.psi)
             assert back == g
 
 
 def test_iota_equivariance(ctx_cache):
-    """beta(g(beta^-1(x))) = iota(g)(x) on all of F_q^*, 500+ random g."""
+    """beta(g(beta^-1(x))) = iota(g)(x) on all of F_q^*, 500+ random g,
+    with beta(b, i) = omega^(d*b + i)."""
     rng = random.Random(4)
-    for q, d in ((25, 2), (27, 13), (49, 6)):
+    for q, d in IOTA_FIELDS:
         ctx = ctx_cache(q, d)
         w = ctx.field.omega
         for _ in range(170):
-            g = random_wreath_c(ctx, rng)
-            form = wreath_to_cyclotomic(g)
+            g = random_wreath(ctx, rng)
+            form = wreath_to_cyclotomic(g, ctx)
             for e in range(q - 1):
-                x = w**e
-                c, i = field_to_pair(ctx, x)
-                y, j = g.apply((c, i))
-                assert pair_to_field(ctx, y, j) == eval_cyclotomic(form, x)
+                y, j = g.apply((e // d, e % d))
+                assert w ** (d * y + j) == eval_cyclotomic(form, w**e)
 
 
 def test_iota_homomorphism(ctx_cache):
@@ -180,11 +187,11 @@ def test_iota_homomorphism(ctx_cache):
         ctx = ctx_cache(q, d)
         w = ctx.field.omega
         for _ in range(250):
-            g = random_wreath_c(ctx, rng)
-            h = random_wreath_c(ctx, rng)
-            fg = wreath_to_cyclotomic(g)
-            fh = wreath_to_cyclotomic(h)
-            fgh = wreath_to_cyclotomic(g.compose(h))
+            g = random_wreath(ctx, rng)
+            h = random_wreath(ctx, rng)
+            fg = wreath_to_cyclotomic(g, ctx)
+            fh = wreath_to_cyclotomic(h, ctx)
+            fgh = wreath_to_cyclotomic(g.compose(h), ctx)
             for e in range(0, q - 1, 3):
                 x = w**e
                 assert eval_cyclotomic(fgh, x) == eval_cyclotomic(
@@ -195,39 +202,15 @@ def test_iota_subgroup_images(ctx_cache):
     """Constant exponents give constant-r forms; exponent 1 gives r = 1."""
     rng = random.Random(6)
     ctx = ctx_cache(25, 2)
-    w = ctx.field.omega
     for _ in range(50):
         psi = CosetPerm(rng.sample(range(2), 2))
         s = rng.choice([1, 5, 7, 11])
-        maps = [AffineMapC(ctx, s, w ** (2 * rng.randrange(12)))
-                for _ in range(2)]
-        form = wreath_to_cyclotomic(WreathElem(psi, maps))
+        maps = [AffineMapZ(12, s, rng.randrange(12)) for _ in range(2)]
+        form = wreath_to_cyclotomic(WreathElem(psi, maps), ctx)
         assert form.r == (s, s)
-        maps1 = [AffineMapC(ctx, 1, w ** (2 * rng.randrange(12)))
-                 for _ in range(2)]
-        form1 = wreath_to_cyclotomic(WreathElem(psi, maps1))
+        maps1 = [AffineMapZ(12, 1, rng.randrange(12)) for _ in range(2)]
+        form1 = wreath_to_cyclotomic(WreathElem(psi, maps1), ctx)
         assert form1.r == (1, 1)
-
-
-def test_hol_c_to_z_paper_examples(ctx25d2):
-    w = ctx25d2.field.omega
-    assert AffineMapC(ctx25d2, 5, w**2).to_z() == AffineMapZ(12, 5, 1)
-    assert AffineMapC(ctx25d2, 7, w**4).to_z() == AffineMapZ(12, 7, 2)
-    assert AffineMapC(ctx25d2, 1, ctx25d2.field.one).to_z() == AffineMapZ(12, 1, 0)
-
-
-def test_hol_z_to_c_round_trip(ctx25d2):
-    rng = random.Random(7)
-    for _ in range(100):
-        g = AffineMapZ(12, rng.choice(units(12)), rng.randrange(12))
-        back = AffineMapC.from_z(ctx25d2, g).to_z()
-        assert back == g
-
-
-def test_affine_c_rejects_outsider(ctx25d2):
-    w = ctx25d2.field.omega
-    with pytest.raises(ValueError):
-        AffineMapC(ctx25d2, 5, w)  # omega is not in C
 
 
 def test_fcp_examples():
@@ -347,10 +330,13 @@ def test_cycle_type_degrees():
 
 
 def test_cycle_type_wreath_over_c(ctx25d2):
+    """A wreath element's cycle type is that of the permutation of F_q^*
+    it induces through the pairing."""
     rng = random.Random(10)
     for _ in range(30):
-        g = random_wreath_c(ctx25d2, rng)
-        assert cycle_type_wreath(g) == cycle_type_wreath(g.to_z())
+        g = random_wreath(ctx25d2, rng)
+        form = wreath_to_cyclotomic(g, ctx25d2)
+        assert cycle_type_wreath(g) == materialize(form).cycle_type()
 
 
 def test_coset_perm_basics():
@@ -368,9 +354,7 @@ def test_coset_perm_basics():
         CosetPerm((0, 0, 1))
 
 
-def test_wreath_parse_round_trip(ctx25d2):
+def test_wreath_parse_round_trip():
     text = "((0,1); lam(5,1)@12, lam(7,2)@12)"
     g = WreathElem.parse(text)
     assert str(g) == text
-    gc = g.to_c(ctx25d2)
-    assert WreathElem.parse(str(gc), ctx25d2) == gc
