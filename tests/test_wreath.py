@@ -136,6 +136,20 @@ def test_iota_inverse_demo_example(ctx25d2):
     assert ident == WreathElem.identity_z(2, 12)
 
 
+def test_hol_c_to_z_paper_examples(ctx25d2):
+    # the map x -> c*x^r on C = <w^2> is lam(r, c) over C; as coset 0 of a
+    # form fixing both cosets it must come out as lam(r, b) with c = w^(2b)
+    w, one = ctx25d2.field.omega, ctx25d2.field.one
+    ident = CosetPerm.identity(2)
+    for r, c, b, shown in ((5, w**2, 1, "lam(5,w^2)"),
+                           (7, w**4, 2, "lam(7,w^4)"),
+                           (1, one, 0, "lam(1,w^0)")):
+        g = cyclotomic_to_wreath(CyclotomicForm(ctx25d2, (c, one), (r, 1)),
+                                 ident)
+        assert g.maps == (AffineMapZ(12, r, b), AffineMapZ(12, 1, 0))
+        assert g.str_over_c().startswith("(id; " + shown + ", ")
+
+
 def test_cyclotomic_to_wreath_rejects_foreign_psi(ctx25d2):
     w = ctx25d2.field.omega
     form = CyclotomicForm(ctx25d2, (w**5, w**21), (7, 5))  # its psi is (0,1)
