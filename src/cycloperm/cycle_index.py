@@ -463,16 +463,23 @@ def affine_counter_pp(p: int, k: int, sig) -> CycleIndex:
     return _affine_counter(p, k, [(sig, 1)])
 
 
-def affine_counter(m: int, sigvec, ell: int) -> CycleIndex:
+def affine_counter(m: int, sigvec, ell: int, counters=None) -> CycleIndex:
     """Cycle counter of {x -> a^ell x + b : b in Z/mZ}, stretched by ell.
 
     The star product runs over the prime powers of m with each signature
     raised to the ell-th power; the result is then stretched x_i -> x_{i*ell}.
-    Coefficients sum to m.
+    Coefficients sum to m.  counters, if given, is a dict that memoizes
+    affine_counter_pp by (p, k, sig) across calls; its values are only
+    ever read by star, which builds a new CycleIndex.
     """
+    if counters is None:
+        counters = {}
     out = CycleIndex.of(CycleType([(1, 1)]))
     for p, k, sig in sigvec:
-        out = out.star(affine_counter_pp(p, k, signature_pow(p, k, sig, ell)))
+        key = (p, k, signature_pow(p, k, sig, ell))
+        if key not in counters:
+            counters[key] = affine_counter_pp(*key)
+        out = out.star(counters[key])
     return out.stretch(ell)
 
 
@@ -488,10 +495,11 @@ def ci_cp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
         raise ValueError("need d, m >= 1")
     primes = factorize(m)
     total = CycleIndex()
+    counters: dict = {}  # per-prime counters recur across sigvec and ell
     for combo in itertools.product(*[signatures_pp(p, k) for p, k in primes]):
         sigvec = tuple((p, k, sig) for (p, k), sig in zip(primes, combo))
         weight = Fraction(signature_count(m, sigvec), phi(m))
-        deltas = [affine_counter(m, sigvec, ell).scale(Fraction(1, m))
+        deltas = [affine_counter(m, sigvec, ell, counters).scale(Fraction(1, m))
                   for ell in range(1, d + 1)]
         for ct, c in _sym_substitute(deltas, cap).terms.items():
             total._add_term(ct, c * weight)

@@ -1,10 +1,22 @@
 """Finite fields F_q = F_p[x]/(m(x)) at desk scale.
 
-Elements are length-k coefficient vectors over Z/pZ (constant term
-first); a field carries a fixed primitive root omega, so every nonzero
-element has a canonical discrete-log normal form ``w^E`` used in all
-textual I/O.  Construction verifies the modulus is irreducible and
-omega is primitive (against the factorization of q-1).
+An element is one int, ``FqElem.packed``: its coefficient vector over
+Z/pZ (constant term first), one digit per bit field (the layout of
+``packed``; for k = 1 the residue itself).  Equality, hashing, the
+discrete-log table and the coset lookup all key on the packed int;
+``FqElem.coeffs`` unpacks it for I/O.  Each field picks one product
+kernel when it is built (``packed.kernels``):
+
+* k = 1: ``a*b % p``;
+* p = 2, k > 1: a Kronecker product with every field masked to its low
+  bit (the carry-less product);
+* odd p, k > 1: a Kronecker product with guard bits, then one
+  multiply-shift that reduces every digit mod p at once.
+
+A field carries a fixed primitive root omega, so every nonzero element
+has a canonical discrete-log normal form ``w^E`` used in all textual
+I/O.  Construction verifies the modulus is irreducible and omega is
+primitive (against the factorization of q-1).
 
 Default moduli come from a small table of Conway polynomials (plus the
 degree-1 case x - r with r the least primitive root, computed on the
@@ -31,6 +43,7 @@ import math
 import threading
 
 from .arith import factorize, is_prime, multiplicative_order
+from .packed import kernels, pack_digits
 
 # Conway polynomials, coefficient lists c0..ck (constant first, monic).
 # Every entry is checked in the test suite: irreducible and x primitive.
@@ -52,59 +65,55 @@ CONWAY_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
     (13, 2): (2, 12, 1),
 }
 
+_new = object.__new__
+
+
+def _elem(cfg: "FqConfig", packed: int) -> "FqElem":
+    """The element with an already packed and reduced int."""
+    x = _new(FqElem)
+    x.cfg = cfg
+    x.packed = packed
+    return x
+
 
 class FqElem:
-    """Element of F_q as an immutable coefficient vector mod (p, modulus)."""
+    """Element of F_q, immutable, packed into one int (see the module
+    docstring); ``FqElem(cfg, coeffs)`` packs a coefficient vector."""
 
-    __slots__ = ("cfg", "coeffs")
+    __slots__ = ("cfg", "packed")
 
     def __init__(self, cfg: "FqConfig", coeffs):
-        coeffs = tuple(c % cfg.p for c in coeffs)
-        if len(coeffs) != cfg.k:
-            raise ValueError(
-                f"need exactly {cfg.k} coefficients, got {len(coeffs)}")
         self.cfg = cfg
-        self.coeffs = coeffs
+        self.packed = cfg._pack(coeffs)
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        """The coefficients c_0..c_(k-1) over Z/pZ, constant term first."""
+        return self.cfg._unpack(self.packed)
 
     def _check(self, other):
         if not isinstance(other, FqElem) or other.cfg is not self.cfg:
             raise ValueError("elements belong to different fields")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self.packed
 
     def __add__(self, other):
         self._check(other)
-        return FqElem(self.cfg,
-                      [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _elem(self.cfg, self.cfg._add(self.packed, other.packed))
 
     def __sub__(self, other):
         self._check(other)
-        return FqElem(self.cfg,
-                      [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _elem(self.cfg, self.cfg._sub(self.packed, other.packed))
 
     def __neg__(self):
-        return FqElem(self.cfg, [-a for a in self.coeffs])
+        return _elem(self.cfg, self.cfg._neg(self.packed))
 
     def __mul__(self, other):
-        self._check(other)
         cfg = self.cfg
-        k, p = cfg.k, cfg.p
-        prod = [0] * (2 * k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        # reduce by the monic modulus: x^k = -(m_0 + ... + m_{k-1} x^{k-1})
-        red = cfg._reduction
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = prod[deg] % p
-            if c:
-                base = deg - k
-                for j, r in enumerate(red):
-                    prod[base + j] += c * r
-            prod[deg] = 0
-        return FqElem(cfg, prod[:k])
+        if other.__class__ is not FqElem or other.cfg is not cfg:
+            raise ValueError("elements belong to different fields")
+        return _elem(cfg, cfg._mul(self.packed, other.packed))
 
     def inverse(self) -> "FqElem":
         if self.is_zero():
@@ -116,26 +125,19 @@ class FqElem:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "FqElem":
+        cfg = self.cfg
         if self.is_zero():
             if e < 0:
                 raise ZeroDivisionError("negative power of 0 in F_q")
-            return self.cfg.one if e == 0 else self
-        e %= self.cfg.q - 1
-        out = self.cfg.one
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+            return cfg.one if e == 0 else self
+        return _elem(cfg, cfg._power(self.packed, e % (cfg.q - 1)))
 
     def __eq__(self, other):
         return (isinstance(other, FqElem) and other.cfg is self.cfg
-                and other.coeffs == self.coeffs)
+                and other.packed == self.packed)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.packed)
 
     def __str__(self):
         return self.cfg.elem_str(self)
@@ -154,20 +156,45 @@ class FqConfig:
         self.modulus = tuple(c % p for c in modulus)
         if len(self.modulus) != k + 1 or self.modulus[k] != 1:
             raise ValueError("modulus must be monic of degree k")
-        # coefficients of x^k in terms of lower powers
-        self._reduction = tuple((-c) % p for c in self.modulus[:k])
+        (self._width, self._mul, self._add, self._sub,
+         self._neg) = kernels(p, k, self.modulus)
         self.zero = FqElem(self, (0,) * k)
         self.one = FqElem(self, (1,) + (0,) * (k - 1))
         self.omega = FqElem(self, omega_coeffs)
         self.q_minus_1_factors = factorize(self.q - 1)
-        # baby steps omega^j -> j for j < len(_logs); _next = omega^len(_logs)
-        self._logs: dict[tuple, int] = {}
-        self._next = self.one
+        # baby steps omega^j -> j for j < len(_logs), keyed on packed
+        # ints; _next = omega^len(_logs), packed
+        self._logs: dict[int, int] = {}
+        self._next = self.one.packed
         self._lock = threading.Lock()
         if not _is_irreducible(self.modulus, p):
             raise ValueError(f"modulus {list(self.modulus)} is reducible over F_{p}")
         if not self._is_primitive(self.omega):
             raise ValueError(f"omega {list(omega_coeffs)} is not a primitive root")
+
+    def _pack(self, coeffs) -> int:
+        coeffs = [c % self.p for c in coeffs]
+        if len(coeffs) != self.k:
+            raise ValueError(
+                f"need exactly {self.k} coefficients, got {len(coeffs)}")
+        return pack_digits(coeffs, self._width)
+
+    def _unpack(self, packed: int) -> tuple[int, ...]:
+        width = self._width
+        mask = (1 << width) - 1
+        return tuple(packed >> (width * j) & mask for j in range(self.k))
+
+    def _power(self, packed: int, e: int) -> int:
+        """packed^e for e >= 0, by square and multiply on packed ints."""
+        mul = self._mul
+        out = self.one.packed
+        while e:
+            if e & 1:
+                out = mul(out, packed)
+            e >>= 1
+            if e:
+                packed = mul(packed, packed)
+        return out
 
     def _is_primitive(self, x: FqElem) -> bool:
         if x.is_zero():
@@ -178,16 +205,17 @@ class FqConfig:
 
     def from_int(self, n: int) -> FqElem:
         """Image of the integer n under Z -> F_q."""
-        return FqElem(self, (n,) + (0,) * (self.k - 1))
+        return _elem(self, n % self.p)  # the constant digit is field 0
 
     def _grow(self, size: int) -> int:
         """Extend the baby-step table to min(size, q-1) entries; return
         its size.  Caller holds the lock."""
         table, acc = self._logs, self._next
+        omega, mul = self.omega.packed, self._mul
         size = min(size, self.q - 1)
         for j in range(len(table), size):
-            table[acc.coeffs] = j
-            acc = acc * self.omega
+            table[acc] = j
+            acc = mul(acc, omega)
         self._next = acc
         return len(table)
 
@@ -204,18 +232,18 @@ class FqConfig:
         with self._lock:
             size = self._grow(math.isqrt(len(xs) * n - 1) + 1)
             if size == n:
-                return [table[x.coeffs] for x in xs]
-            giant = self._next.inverse()
+                return [table[x.packed] for x in xs]
+            giant, mul = self._power(self._next, n - 1), self._mul
             out = []
             for x in xs:
-                i, cur = 0, x
-                while cur.coeffs not in table:
-                    i, cur = i + 1, cur * giant
-                out.append(i * size + table[cur.coeffs])
+                i, cur = 0, x.packed
+                while cur not in table:
+                    i, cur = i + 1, mul(cur, giant)
+                out.append(i * size + table[cur])
             return out
 
-    def dlog_table(self) -> dict[tuple, int]:
-        """coeffs -> e with omega^e: the baby-step table grown to all
+    def dlog_table(self) -> dict[int, int]:
+        """packed -> e with omega^e: the baby-step table grown to all
         q-1 entries.  For oracle.materialize, which logs every point."""
         with self._lock:
             self._grow(self.q - 1)
@@ -424,26 +452,19 @@ class CyclotomicContext:
         self.d = d
         self.m = (field.q - 1) // d
         self.zeta = field.omega**self.m
-        self._omega_inv = field.omega.inverse()
-        self._coset_cache: dict[tuple, int] = {}
+        # x^m = zeta^i exactly when x lies in C_i
+        self._coset_of: dict[int, int] = {}
+        z = field.one
+        for i in range(d):
+            self._coset_of[z.packed] = i
+            z = z * self.zeta
 
     def coset_index(self, x: FqElem) -> int:
-        """The unique i with x in C_i, by testing (omega^-i x)^m = 1.
-
-        This avoids discrete logarithms entirely.
-        """
+        """The unique i with x in C_i, read off x^m = zeta^i: one power,
+        no discrete logarithm."""
         if x.is_zero():
             raise ValueError("0 belongs to no coset of C")
-        cached = self._coset_cache.get(x.coeffs)
-        if cached is not None:
-            return cached
-        y = x
-        for i in range(self.d):
-            if y**self.m == self.field.one:
-                self._coset_cache[x.coeffs] = i
-                return i
-            y = y * self._omega_inv
-        raise ValueError("element outside F_q^* (unreachable for x != 0)")
+        return self._coset_of[(x**self.m).packed]
 
     def __repr__(self):
         return (f"CyclotomicContext(q={self.field.q}, d={self.d}, "

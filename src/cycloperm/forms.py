@@ -354,7 +354,9 @@ def invert_permutation(f: CyclotomicForm) -> PolyForm:
 
     With r_i rtilde_i + m t_i = 1 (extended Euclid, rtilde_i in {1..m}),
     the inverse is (1/d) sum_{i,j} zeta^(i (t_i - j r_i)) a_i^(-rtilde_i - j m)
-    T^(rtilde_i + j m).
+    T^(rtilde_i + j m).  Per branch i the term at j+1 is the term at j
+    times zeta^(-i r_i) a_i^(-m), so each term after the first costs
+    one product.
     """
     ctx = f.ctx
     cfg = ctx.field
@@ -367,11 +369,12 @@ def invert_permutation(f: CyclotomicForm) -> PolyForm:
         r_i = f.r[i]
         rt = rem1(pow(r_i, -1, m) if m > 1 else 1, m)
         t_i = (1 - r_i * rt) // m
+        term = inv_d * ctx.zeta ** (i * t_i) * f.a[i] ** (-rt)
+        ratio = ctx.zeta ** (-i * r_i) * f.a[i] ** (-m)
         for j in range(d):
             deg = rt + j * m
-            zeta_pow = ctx.zeta ** (i * (t_i - j * r_i))
-            coeffs[deg] = (coeffs.get(deg, cfg.zero)
-                           + inv_d * zeta_pow * f.a[i] ** (-rt - j * m))
+            coeffs[deg] = coeffs.get(deg, cfg.zero) + term
+            term = term * ratio
     return PolyForm(cfg, coeffs)
 
 

@@ -131,7 +131,7 @@ def materialize(obj) -> ExplicitPerm:
         for e, (_, y) in enumerate(walk):
             if y.is_zero():
                 raise NotBijective(("0", f"w^{e}", "0"))
-            images.append(table[y.coeffs])
+            images.append(table[y.packed])
         return ExplicitPerm(_check_bijection(images, lambda e: f"w^{e}"))
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 

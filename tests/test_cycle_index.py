@@ -449,6 +449,32 @@ def ci_cp_by_substitution(d, m):
     return total
 
 
+def test_ci_cp_builds_each_per_prime_counter_once(monkeypatch):
+    import cycloperm.cycle_index as cycle_index
+    calls = Counter()
+    built = cycle_index.affine_counter_pp
+
+    def counting(p, k, sig):
+        calls[(p, k, sig)] += 1
+        return built(p, k, sig)
+
+    want = ci_cp_by_substitution(2, 420)
+    monkeypatch.setattr(cycle_index, "affine_counter_pp", counting)
+    assert ci_cp(2, 420) == want
+    assert len(calls) == 11 and set(calls.values()) == {1}
+
+
+def test_shared_counters_are_left_as_built():
+    counters = {}
+    sigvecs = [((2, 2, (1, 1)), (3, 1, 2)), ((2, 2, (0, 1)), (3, 1, 2))]
+    for sigvec in sigvecs:
+        for ell in (1, 2, 3):
+            assert (affine_counter(12, sigvec, ell, counters)
+                    == affine_counter(12, sigvec, ell))
+    assert counters and all(ci == affine_counter_pp(p, k, sig)
+                            for (p, k, sig), ci in counters.items())
+
+
 @pytest.mark.parametrize("group,d,m", [(g, d, m) for g, sizes in
                                        COMPOSE_SIZES.items()
                                        for d, m in sizes])

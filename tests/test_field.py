@@ -179,7 +179,7 @@ def test_dlogs_table_grows_in_steps(q):
         assert cfg.dlogs(powers[e] for e in picks) == picks
         want = max(want, math.isqrt(size * (q - 1) - 1) + 1)
         assert len(cfg._logs) == min(want, q - 1)
-    assert cfg.dlog_table() == {x.coeffs: e for e, x in enumerate(powers)}
+    assert cfg.dlog_table() == {x.packed: e for e, x in enumerate(powers)}
 
 
 def test_dlogs_from_many_threads():
@@ -232,6 +232,30 @@ def test_coset_index_is_homomorphism(ctx_cache):
             y = w ** rng.randrange(q - 1)
             assert (ctx.coset_index(x * y)
                     == (ctx.coset_index(x) + ctx.coset_index(y)) % d)
+
+
+def trial_coset_index(ctx, x):
+    """The coset lookup coset_index replaced: the first i with
+    (omega^-i x)^m = 1, up to d powers."""
+    omega_inv = ctx.field.omega.inverse()
+    y = x
+    for i in range(ctx.d):
+        if y**ctx.m == ctx.field.one:
+            return i
+        y = y * omega_inv
+    raise AssertionError("no coset found")
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257)
+                               if len(factorize(q)) == 1])
+def test_coset_index_equals_the_trial_loop(q):
+    ((p, k),) = factorize(q)
+    cfg = make_field(p, k)
+    points = [cfg.omega**e for e in range(q - 1)]
+    for d in (d for d in range(1, q) if (q - 1) % d == 0):
+        ctx = CyclotomicContext(cfg, d)
+        for x in points:
+            assert ctx.coset_index(x) == trial_coset_index(ctx, x)
 
 
 def test_zeta_matches_power(ctx_cache):

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cycloperm.arith import rem1
 from cycloperm.field import CyclotomicContext, make_field
 from cycloperm.forms import (
     CyclotomicForm,
@@ -334,6 +335,41 @@ def test_inversion_round_trip(ctx_cache):
                 assert P.eval(z) == x
             done += 1
     assert done >= 100
+
+
+def invert_per_term(f):
+    """invert_permutation before it stepped in j: every term
+    zeta^(i (t_i - j r_i)) a_i^(-rtilde_i - j m) powered on its own."""
+    ctx = f.ctx
+    cfg = ctx.field
+    d, m = ctx.d, ctx.m
+    inv_d = cfg.from_int(d).inverse()
+    coeffs = {}
+    for i in range(d):
+        r_i = f.r[i]
+        rt = rem1(pow(r_i, -1, m) if m > 1 else 1, m)
+        t_i = (1 - r_i * rt) // m
+        for j in range(d):
+            deg = rt + j * m
+            zeta_pow = ctx.zeta ** (i * (t_i - j * r_i))
+            coeffs[deg] = (coeffs.get(deg, cfg.zero)
+                           + inv_d * zeta_pow * f.a[i] ** (-rt - j * m))
+    return PolyForm(cfg, coeffs)
+
+
+@pytest.mark.parametrize("q, d", [(7, 6), (9, 2), (13, 12), (25, 4), (49, 6),
+                                  (64, 9), (81, 5), (256, 15), (625, 13),
+                                  (1024, 11)])
+def test_invert_steps_in_j_like_the_per_term_formula(ctx_cache, q, d):
+    from cycloperm.wreath import wreath_to_cyclotomic
+    from tests_helpers import random_wreath
+    ctx = ctx_cache(q, d)
+    rng = random.Random(q * d)
+    for _ in range(8):
+        f = wreath_to_cyclotomic(random_wreath(ctx, rng), ctx)
+        inv = invert_permutation(f)
+        assert inv == invert_per_term(f)
+        assert str(inv) == str(invert_per_term(f))
 
 
 def test_psi_maps_cosets_setwise(ctx_cache):

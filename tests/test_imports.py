@@ -1,8 +1,8 @@
 """No module of the package imports a name it never uses, none
 defines a private top-level function or class it never uses, none
 but the oracle asks for the full discrete-log table, none but the field
-takes single discrete logs, and none composes cycle indices by general
-substitution.
+takes single discrete logs or builds an FqElem from coefficients, and
+none composes cycle indices by general substitution.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -117,6 +117,20 @@ def test_only_the_field_takes_single_dlogs(module):
     # package code logs in FqConfig.dlogs batches; each dlog call is a
     # batch of its own, with its own giant steps
     assert calls_of((SRC / module).read_text(), "dlog") == 0
+
+
+def test_fqelem_calls_detector():
+    source = ("from .field import FqElem\n"
+              "a = FqElem(cfg, [1, 0])\nb = field.FqElem(cfg, (0, 1))\n"
+              "c = isinstance(x, FqElem)\nd: FqElem = cfg.one\n")
+    assert calls_of(source, "FqElem") == 2
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "field.py"])
+def test_only_the_field_builds_elements_from_coefficients(module):
+    # elements are packed ints; FqElem(cfg, coeffs) packs a coefficient
+    # vector, which only I/O inside the field needs
+    assert calls_of((SRC / module).read_text(), "FqElem") == 0
 
 
 def general_composition_calls(source: str) -> int:

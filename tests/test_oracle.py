@@ -135,5 +135,5 @@ def test_equivariance_at_array_level(ctx25d2):
             pos = dlog(cfg, gen, c) if c != cfg.one else 0
             y, j = gz.apply((pos, i))
             img = gen**y * cfg.omega**j
-            transported.append(table[img.coeffs])
+            transported.append(table[img.packed])
         assert list(direct.images) == transported
