@@ -10,6 +10,7 @@ procedure (with the reason code), 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -92,7 +93,8 @@ def _resolve_field(args):
     modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
     cfg = make_field(p, k, modulus=modulus)
     if args.omega:
-        cfg = make_field(p, k, modulus=modulus,
+        # the default modulus is searched once, for the first field
+        cfg = make_field(p, k, modulus=cfg.modulus,
                          omega=cfg.parse_elem(args.omega))
     return cfg
 
@@ -311,7 +313,10 @@ def _wreath_mismatch(inv_g, inv_h, mode):
     return "cycle-product-classes"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no
+    state between calls, so in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="cycloperm",
         description="index-d cyclotomic permutations of F_q: forms, "

@@ -15,8 +15,12 @@ kernel when it is built (``packed.kernels``):
 
 A field carries a fixed primitive root omega, so every nonzero element
 has a canonical discrete-log normal form ``w^E`` used in all textual
-I/O.  Construction verifies the modulus is irreducible and omega is
-primitive (against the factorization of q-1).
+I/O.  Construction proves both facts at once with packed powers:
+omega^(q-1) = 1 and omega^((q-1)/l) != 1 for each prime l | q-1 give
+omega order q-1 in F_p[x]/(m), so the ring's q-1 nonzero elements are
+all units and it is a field (m is irreducible; for omega = x this is
+Lidl & Niederreiter, Finite Fields, Thm. 3.16).  Only a rejected
+modulus is tested for irreducibility, to name the reason.
 
 Default moduli come from a small table of Conway polynomials (plus the
 degree-1 case x - r with r the least primitive root, computed on the
@@ -43,7 +47,7 @@ import math
 import threading
 
 from .arith import factorize, is_prime, multiplicative_order
-from .packed import kernels, pack_digits
+from .packed import kernels, pack_digits, poly_divmod, power
 
 # Conway polynomials, coefficient lists c0..ck (constant first, monic).
 # Every entry is checked in the test suite: irreducible and x primitive.
@@ -130,7 +134,7 @@ class FqElem:
             if e < 0:
                 raise ZeroDivisionError("negative power of 0 in F_q")
             return cfg.one if e == 0 else self
-        return _elem(cfg, cfg._power(self.packed, e % (cfg.q - 1)))
+        return _elem(cfg, power(cfg._mul, self.packed, e % (cfg.q - 1)))
 
     def __eq__(self, other):
         return (isinstance(other, FqElem) and other.cfg is self.cfg
@@ -167,9 +171,11 @@ class FqConfig:
         self._logs: dict[int, int] = {}
         self._next = self.one.packed
         self._lock = threading.Lock()
-        if not _is_irreducible(self.modulus, p):
-            raise ValueError(f"modulus {list(self.modulus)} is reducible over F_{p}")
-        if not self._is_primitive(self.omega):
+        if not _has_order(self._mul, self.omega.packed, self.q - 1,
+                          self.q_minus_1_factors):
+            if not _is_irreducible(self.modulus, p):
+                raise ValueError(
+                    f"modulus {list(self.modulus)} is reducible over F_{p}")
             raise ValueError(f"omega {list(omega_coeffs)} is not a primitive root")
 
     def _pack(self, coeffs) -> int:
@@ -183,25 +189,6 @@ class FqConfig:
         width = self._width
         mask = (1 << width) - 1
         return tuple(packed >> (width * j) & mask for j in range(self.k))
-
-    def _power(self, packed: int, e: int) -> int:
-        """packed^e for e >= 0, by square and multiply on packed ints."""
-        mul = self._mul
-        out = self.one.packed
-        while e:
-            if e & 1:
-                out = mul(out, packed)
-            e >>= 1
-            if e:
-                packed = mul(packed, packed)
-        return out
-
-    def _is_primitive(self, x: FqElem) -> bool:
-        if x.is_zero():
-            return False
-        n = self.q - 1
-        return all(not (x ** (n // ell)) == self.one
-                   for ell, _ in self.q_minus_1_factors)
 
     def from_int(self, n: int) -> FqElem:
         """Image of the integer n under Z -> F_q."""
@@ -233,7 +220,7 @@ class FqConfig:
             size = self._grow(math.isqrt(len(xs) * n - 1) + 1)
             if size == n:
                 return [table[x.packed] for x in xs]
-            giant, mul = self._power(self._next, n - 1), self._mul
+            giant, mul = power(self._mul, self._next, n - 1), self._mul
             out = []
             for x in xs:
                 i, cur = 0, x.packed
@@ -282,79 +269,27 @@ class FqConfig:
         return f"FqConfig(p={self.p}, k={self.k}, modulus={list(self.modulus)})"
 
 
-def _poly_mod(a: list[int], mod, p: int) -> list[int]:
-    a = [c % p for c in a]
-    k = len(mod) - 1
-    inv_lead = pow(mod[k], -1, p)
-    for deg in range(len(a) - 1, k - 1, -1):
-        c = a[deg] * inv_lead % p
-        if c:
-            for j in range(k + 1):
-                a[deg - k + j] = (a[deg - k + j] - c * mod[j]) % p
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_mul_mod(a, b, mod, p):
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-    return _poly_mod(prod, mod, p)
-
-
-def _trim(a):
-    while len(a) > 1 and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a, b, p):
-    a = _trim([c % p for c in a])
-    b = _trim([c % p for c in b])
-    while any(b):
-        a = _poly_mod(a, b, p)
-        a, b = b, _trim(a)
-    return a
-
-
-def _x_power_mod(e: int, mod, p: int):
-    """x^e mod (mod, p) by square and multiply."""
-    result = [1]
-    base = _poly_mod([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _poly_mul_mod(result, base, mod, p)
-        base = _poly_mul_mod(base, base, mod, p)
-        e >>= 1
-    return result
+def _has_order(mul, x: int, n: int, factors) -> bool:
+    """Whether the packed x has order exactly n under mul: x^n = 1 with
+    the full exponent, and x^(n/l) != 1 for each prime l | n."""
+    return power(mul, x, n) == 1 and all(
+        power(mul, x, n // ell) != 1 for ell, _ in factors)
 
 
 def _is_irreducible(modulus, p: int) -> bool:
+    """No factor of degree i <= k/2: gcd(modulus, x^(p^i) - x) = 1, with
+    x^(p^i) mod modulus by the packed kernels."""
     k = len(modulus) - 1
-    if k == 1:
-        return True
-    if k <= 3:
-        # degree 2 or 3: irreducible iff no root in F_p
-        for r in range(p):
-            acc = 0
-            for c in reversed(modulus):
-                acc = (acc * r + c) % p
-            if acc == 0:
-                return False
-        return True
-    # no irreducible factor of degree <= k/2: gcd(modulus, x^{p^i} - x) = 1
-    mod = list(modulus)
-    for i in range(1, k // 2 + 1):
-        xp = _x_power_mod(p**i, mod, p)
-        diff = list(xp)
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _poly_gcd(mod, diff, p)
-        if len(g) > 1:
+    width, mul = kernels(p, k, modulus)[:2]
+    xp = 1 << width  # the class of x; for k = 1 the loop is empty
+    for _ in range(k // 2):
+        xp = power(mul, xp, p)
+        a = [xp >> (width * j) & ((1 << width) - 1) for j in range(k)]
+        a[1] -= 1
+        b = list(modulus)
+        while b:
+            a, b = b, poly_divmod(a, b, p)[1]
+        if len(a) > 1:
             return False
     return True
 
@@ -372,10 +307,10 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     Conway polynomial from the built-in table when available; x - r with
     r the least primitive root for k = 1; otherwise the lexicographically
     smallest primitive polynomial (by the coefficient tuple c0..c_{k-1}).
-    A candidate is skipped unless (-1)^k c0, the norm of x, is a
-    primitive root mod p (the norm maps generators onto generators);
-    otherwise it must be irreducible, and x^((q-1)/l) != 1 for each
-    prime l | q-1.
+    The constant terms c0 run in ascending order, skipping those whose
+    (-1)^k c0, the norm of x, is no primitive root mod p (the norm maps
+    generators onto generators); a candidate is accepted when x has
+    order q-1 under its own packed kernels (see the module docstring).
     """
     if k == 1:
         return ((-least_primitive_root(p)) % p, 1)
@@ -383,14 +318,15 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
         return CONWAY_TABLE[(p, k)]
     import itertools
     n = p**k - 1
-    primes = [ell for ell, _ in factorize(n)]
-    norms = {(-1) ** k * c % p for c in range(1, p)
-             if multiplicative_order(c, p) == p - 1}
-    for tail in itertools.product(range(p), repeat=k):
-        cand = tuple(tail) + (1,)
-        if cand[0] in norms and _is_irreducible(cand, p) and all(
-                _x_power_mod(n // ell, cand, p) != [1] for ell in primes):
-            return cand
+    factors = factorize(n)
+    for c0 in range(1, p):
+        if multiplicative_order((-1) ** k * c0 % p, p) != p - 1:
+            continue
+        for tail in itertools.product(range(p), repeat=k - 1):
+            cand = (c0,) + tail + (1,)
+            width, mul = kernels(p, k, cand)[:2]
+            if _has_order(mul, 1 << width, n, factors):
+                return cand
     raise ValueError(f"no primitive polynomial found for p={p}, k={k}")
 
 
@@ -398,8 +334,8 @@ def make_field(p: int, k: int, modulus=None, omega=None) -> FqConfig:
     """Construct F_{p^k}; all invariants verified.
 
     With the default modulus, omega is the class of x (for k = 1: the
-    least primitive root).  A supplied omega is always checked to have
-    order exactly q - 1; a supplied modulus is checked irreducible.
+    least primitive root).  omega is checked to have order exactly q - 1
+    in F_p[x]/(modulus), which also proves the modulus irreducible.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

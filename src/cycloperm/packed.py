@@ -61,7 +61,7 @@ def kernels(p: int, k: int, modulus):
 
     # x^k = row and floor(x^(2k-2) / modulus) = mu, of degree k-2
     row = pack((-c) % p for c in modulus[:k])
-    mu = pack(_x_power_quotient(2 * k - 2, modulus, p))
+    mu = pack(poly_divmod([0] * (2 * k - 2) + [1], modulus, p)[0])
     if p == 2:
         par = pack([1] * (2 * k - 1))  # the low bit of every field
         ones = par & low
@@ -88,15 +88,34 @@ def kernels(p: int, k: int, modulus):
             lambda a, b: reduce(a + ps - b), lambda a: reduce(ps - a))
 
 
-def _x_power_quotient(e: int, mod, p: int) -> list[int]:
-    """floor(x^e / mod) over F_p, mod monic of degree k <= e."""
-    k = len(mod) - 1
-    rem = [0] * e + [1]
-    out = [0] * (e - k + 1)
-    for deg in range(e, k - 1, -1):
-        c = rem[deg] % p
-        if c:
-            out[deg - k] = c
-            for j in range(k + 1):
-                rem[deg - k + j] -= c * mod[j]
+def power(mul, a: int, e: int) -> int:
+    """a^e for e >= 0 under the product mul, by square and multiply; the
+    packed 1 is the int 1 in every layout."""
+    out = 1
+    while e:
+        if e & 1:
+            out = mul(out, a)
+        e >>= 1
+        if e:
+            a = mul(a, a)
     return out
+
+
+def poly_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by b over F_p, as coefficient lists
+    (constant term first); b's last coefficient must be nonzero mod p.
+    The remainder has no leading zeros; 0 is the empty list."""
+    rem = [c % p for c in a]
+    k = len(b) - 1
+    inv = pow(b[k], -1, p)
+    quot = [0] * (len(rem) - k)
+    for deg in range(len(rem) - 1, k - 1, -1):
+        c = rem[deg] * inv % p
+        if c:
+            quot[deg - k] = c
+            for j in range(k + 1):
+                rem[deg - k + j] = (rem[deg - k + j] - c * b[j]) % p
+    rem = rem[:k]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quot, rem

@@ -3,6 +3,7 @@ import math
 import random
 import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +17,7 @@ from cycloperm.field import (
     make_field,
     _is_irreducible,
 )
+from test_kernels import tuple_mul
 
 
 def test_make_field_conway_f25(f25):
@@ -82,8 +84,66 @@ def test_default_modulus_recorded_values():
     assert default_modulus(2, 15) == (1,) + (0,) * 13 + (1, 1)
     assert default_modulus(2, 16) == (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
                                       1, 1, 0, 1)
+    assert default_modulus(2, 20) == (1,) + (0,) * 16 + (1, 0, 0, 1)
+    assert default_modulus(2, 24) == (1,) + (0,) * 19 + (1, 1, 0, 1, 1)
     assert default_modulus(3, 8) == (2, 0, 0, 0, 0, 1, 0, 0, 1)
     assert default_modulus(3, 10) == (2, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1)
+
+
+def monics(p, k):
+    """Every monic polynomial of degree k over F_p, as c0..ck, starting
+    with x^k."""
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=k)]
+
+
+def reducible_monics(p, k):
+    """Every product g*h of monic g, h with 1 <= deg g <= deg h and
+    deg g + deg h = k."""
+    out = set()
+    for i in range(1, k // 2 + 1):
+        for g in monics(p, i):
+            for h in monics(p, k - i):
+                prod = [0] * (k + 1)
+                for a, x in enumerate(g):
+                    for b, y in enumerate(h):
+                        prod[a + b] = (prod[a + b] + x * y) % p
+                out.add(tuple(prod))
+    return out
+
+
+def has_order_q_minus_1(ring, omega):
+    """Whether the powers of omega in F_p[x]/(f), walked with the tuple
+    product, first return to 1 at the (q-1)-th."""
+    one = (1,) + (0,) * (ring.k - 1)
+    x = omega
+    for _ in range(ring.p**ring.k - 2):
+        if x == one:
+            return False
+        x = tuple_mul(ring, x, omega)
+    return x == one
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65)
+                               if len(factorize(q)) == 1])
+def test_fqconfig_accepts_exactly_a_field_and_an_omega_of_order_q_minus_1(q):
+    """Every monic f of degree k (x^k first) and every nonzero omega: the
+    order test alone must tell fields from other rings, and a rejection
+    names "reducible" exactly when f is."""
+    ((p, k),) = factorize(q)
+    reducible = reducible_monics(p, k)
+    omegas = list(itertools.product(range(p), repeat=k))[1:]
+    for f in monics(p, k):
+        assert _is_irreducible(f, p) == (f not in reducible), f
+        ring = SimpleNamespace(p=p, k=k, modulus=f)
+        for omega in omegas:
+            want = f not in reducible and has_order_q_minus_1(ring, omega)
+            try:
+                FqConfig(p, k, f, omega)
+            except ValueError as exc:
+                assert not want, (f, omega, exc)
+                assert ("reducible" in str(exc)) == (f in reducible), (f, omega)
+            else:
+                assert want, (f, omega)
 
 
 def test_arith_examples(f25):
