@@ -10,7 +10,6 @@ procedure (with the reason code), 1 error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -313,10 +312,7 @@ def _wreath_mismatch(inv_g, inv_h, mode):
     return "cycle-product-classes"
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parse_args keeps no
-    state between calls, so in-process callers of main share it."""
     parser = argparse.ArgumentParser(
         prog="cycloperm",
         description="index-d cyclotomic permutations of F_q: forms, "

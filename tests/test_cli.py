@@ -456,68 +456,3 @@ def test_reps_field_self_check_failure_is_an_error(capsys, monkeypatch, group,
     assert code == 1
     assert payload["status"] == "error"
     assert f"is not a {kind}" in payload["message"]
-
-
-# Each subcommand with and without --verify/--check/--format structured
-# and the field overrides, ordered so that a flag left over from one call
-# would change the next one's output.  One call exceeds --cap and the last
-# but one is a usage error.
-PARSER_REUSE_SEQUENCE = [
-    ("analyze", "--q", "25", "--d", "2", "--poly", DEMO_POLY, "--verify",
-     "--format", "structured"),
-    ("analyze", "--q", "25", "--d", "2", "--poly", DEMO_POLY),
-    ("analyze", "--p", "5", "--k", "2", "--modulus", "2,4,1", "--omega",
-     "w^5", "--d", "2", "--poly", DEMO_POLY),
-    ("analyze", "--p", "5", "--k", "2", "--d", "2", "--poly", DEMO_POLY),
-    ("invert", "--q", "25", "--d", "2", "--poly", DEMO_POLY, "--check"),
-    ("invert", "--q", "25", "--d", "2", "--poly", DEMO_POLY, "--verify",
-     "--format", "structured"),
-    ("invert", "--q", "25", "--d", "2", "--poly", DEMO_POLY),
-    ("to-poly", "--q", "25", "--d", "2", "--form", "f(a=[w^5,w^21], r=[7,5])",
-     "--verify"),
-    ("to-poly", "--q", "25", "--d", "2", "--form", "f(a=[w^5,w^21], r=[7,5])"),
-    ("cycle-index", "--group", "gcp", "--d", "2", "--m", "3", "--verify",
-     "--format", "structured"),
-    ("cycle-index", "--group", "gcp", "--d", "2", "--m", "3"),
-    ("cycle-index", "--group", "sym", "--d", "4", "--cap", "3"),
-    ("cycle-index", "--group", "sym", "--d", "4"),
-    ("reps", "--group", "w", "--kind", "involution", "--d", "2", "--m", "3",
-     "--verify"),
-    ("reps", "--group", "w", "--kind", "involution", "--d", "2", "--m", "3"),
-    ("reps", "--group", "gcp", "--kind", "long-cycle", "--q", "7", "--d", "2",
-     "--omega", "w^5", "--format", "structured"),
-    ("reps", "--group", "gcp", "--kind", "long-cycle", "--q", "7", "--d", "2"),
-    ("conjugate", "--group", "hol", "lam(5,6)@12", "lam(5,0)@12",
-     "--format", "structured"),
-    ("conjugate", "--group", "weq", "((0,1); lam(5,1)@12, lam(5,2)@12)",
-     "((0,1); lam(5,1)@12, lam(5,3)@12)"),
-    ("conjugate", "--group", "hol", "lam(5,6)@12", "lam(5,0)@12"),
-    ("analyze", "--q", "25", "--d", "2"),
-    ("analyze", "--q", "25", "--d", "2", "--poly", "T"),
-]
-
-
-def run_sequence(capsys):
-    seen = []
-    for argv in PARSER_REUSE_SEQUENCE:
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:
-            code = ("exit", exc.code)
-        captured = capsys.readouterr()
-        seen.append((code, captured.out, captured.err))
-    return seen
-
-
-def test_main_reuses_one_parser_without_leaks(capsys, monkeypatch):
-    assert cli.build_parser() is cli.build_parser()
-    shared = run_sequence(capsys)
-    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
-    assert cli.build_parser() is not cli.build_parser()
-    fresh = run_sequence(capsys)
-    assert shared == fresh
-    codes = [code for code, _, _ in fresh]
-    assert codes.count(0) == len(codes) - 2, fresh
-    assert codes[11] == 1 and "exceeds the cap" in fresh[11][1]
-    assert codes[-2] == ("exit", 2) and "--poly" in fresh[-2][2]
-    assert codes[-1] == 0 and "status: ok" in fresh[-1][1]
