@@ -53,6 +53,7 @@ from .wreath import (
     WreathElem,
     cycle_type_wreath,
     cyclotomic_to_wreath,
+    wreath_strs,
 )
 
 
@@ -75,12 +76,17 @@ def _add_field_flags(p):
     p.add_argument("--d", type=int, required=True, help="index of the subgroup")
 
 
+def _prime_power(q: int) -> tuple[int, int]:
+    """(p, k) with q = p^k; CommandError when --q is not a prime power."""
+    fac = factorize(q)
+    if len(fac) != 1:
+        raise CommandError(f"--q {q} is not a prime power")
+    return fac[0]
+
+
 def _resolve_field(args):
     if args.q is not None:
-        fac = factorize(args.q)
-        if len(fac) != 1:
-            raise CommandError(f"--q {args.q} is not a prime power")
-        p, k = fac[0]
+        p, k = _prime_power(args.q)
         if args.p is not None and args.p != p:
             raise CommandError(f"--p {args.p} conflicts with --q {args.q}")
         if args.k is not None and args.k != k:
@@ -187,11 +193,12 @@ def cmd_to_poly(args) -> int:
     return _emit(args, payload)
 
 
-def _reconcile_dm(args, need_d=True):
+def _reconcile_dm(args):
     d = args.d
-    if need_d and d is None:
+    if d is None:
         raise CommandError("need --d")
     if args.q is not None:
+        _prime_power(args.q)
         if (args.q - 1) % (d or 1) != 0:
             raise CommandError(f"d={d} does not divide q-1={args.q - 1}")
         m = (args.q - 1) // (d or 1)
@@ -244,7 +251,7 @@ def cmd_reps(args) -> int:
         wname = {"w": "W", "w1": "W1", "weq": "Weq"}[group]
         d, m = _reconcile_dm(args)
         system = rep_system(wname, kind, d, m)
-        lines = [str(g) for g in system.reps]
+        lines = wreath_strs(system.reps)
         payload = {"status": "ok", "group": group, "kind": kind,
                    "count": len(lines), "rep": lines}
         if args.verify:

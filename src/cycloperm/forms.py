@@ -26,8 +26,8 @@ procedure:
     exponent-not-coprime    permutation check: gcd(r_i, m) > 1
     psi-not-bijective       induced coset map is not a bijection
 
-Also here: the inverse of a permutation form in polynomial form
-(exponents inverted mod m by extended Euclid), and the affine-shift
+Also here: the inverse of a permutation form in polynomial form, which
+is the inverse of its wreath form switched back, and the affine-shift
 variant that peels a constant off the polynomial first.
 """
 
@@ -37,7 +37,7 @@ import math
 
 from .arith import rem1
 from .field import CyclotomicContext, FqElem
-from .wreath import CosetPerm
+from .wreath import CosetPerm, cyclotomic_to_wreath, wreath_to_cyclotomic
 
 
 class Rejected(Exception):
@@ -303,26 +303,11 @@ def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
     return CyclotomicForm(ctx, a, r)
 
 
-def coset_map_of(f: CyclotomicForm) -> CosetPerm:
-    """The induced map on cosets: psi(i) = coset index of a_i omega^(r_i i).
-
-    Raises Rejected('psi-not-bijective') when the induced map is not a
-    permutation of {0, ..., d-1}.
-    """
-    ctx = f.ctx
-    omega = ctx.field.omega
-    images = []
-    for i in range(ctx.d):
-        y = f.a[i] * omega ** (f.r[i] * i)
-        images.append(ctx.coset_index(y))
-    if sorted(images) != list(range(ctx.d)):
-        raise Rejected("psi-not-bijective", f"images {images}")
-    return CosetPerm(images)
-
-
 def _screen_permutation(f: CyclotomicForm) -> CosetPerm:
     """The coset map of a permutation form (all a_i nonzero, all r_i
-    coprime to m, psi bijective); raises Rejected otherwise."""
+    coprime to m, psi bijective); raises Rejected otherwise.  With L_i
+    the log of a_i from one dlogs batch, a_i omega^(r_i i) lies in
+    C_psi(i) for psi(i) = (L_i + r_i i) mod d."""
     ctx = f.ctx
     for i in range(ctx.d):
         if f.a[i].is_zero():
@@ -331,7 +316,11 @@ def _screen_permutation(f: CyclotomicForm) -> CosetPerm:
         if math.gcd(f.r[i], ctx.m) > 1:
             raise Rejected("exponent-not-coprime",
                            f"gcd(r_{i}={f.r[i]}, m={ctx.m}) > 1")
-    return coset_map_of(f)
+    images = [(log + r * i) % ctx.d
+              for i, (log, r) in enumerate(zip(ctx.field.dlogs(f.a), f.r))]
+    if sorted(images) != list(range(ctx.d)):
+        raise Rejected("psi-not-bijective", f"images {images}")
+    return CosetPerm(images)
 
 
 def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnalysis:
@@ -350,32 +339,14 @@ def is_permutation_form(f: CyclotomicForm) -> bool:
 
 
 def invert_permutation(f: CyclotomicForm) -> PolyForm:
-    """Polynomial form of the inverse of a permutation form.
-
-    With r_i rtilde_i + m t_i = 1 (extended Euclid, rtilde_i in {1..m}),
-    the inverse is (1/d) sum_{i,j} zeta^(i (t_i - j r_i)) a_i^(-rtilde_i - j m)
-    T^(rtilde_i + j m).  Per branch i the term at j+1 is the term at j
-    times zeta^(-i r_i) a_i^(-m), so each term after the first costs
-    one product.
-    """
-    ctx = f.ctx
-    cfg = ctx.field
-    d, m = ctx.d, ctx.m
-    if not is_permutation_form(f):
-        raise ValueError("form is not a permutation; it has no inverse")
-    inv_d = cfg.from_int(d).inverse()
-    coeffs: dict[int, FqElem] = {}
-    for i in range(d):
-        r_i = f.r[i]
-        rt = rem1(pow(r_i, -1, m) if m > 1 else 1, m)
-        t_i = (1 - r_i * rt) // m
-        term = inv_d * ctx.zeta ** (i * t_i) * f.a[i] ** (-rt)
-        ratio = ctx.zeta ** (-i * r_i) * f.a[i] ** (-m)
-        for j in range(d):
-            deg = rt + j * m
-            coeffs[deg] = coeffs.get(deg, cfg.zero) + term
-            term = term * ratio
-    return PolyForm(cfg, coeffs)
+    """Polynomial form of the inverse of a permutation form: the inverse
+    of its wreath form, switched back to cyclotomic and polynomial form."""
+    try:
+        psi = _screen_permutation(f)
+    except Rejected:
+        raise ValueError("form is not a permutation; it has no inverse") from None
+    g = cyclotomic_to_wreath(f, psi).inverse()
+    return cyclotomic_to_poly(wreath_to_cyclotomic(g, f.ctx))
 
 
 def analyze_affine_shift(Q: PolyForm, ctx: CyclotomicContext):

@@ -25,7 +25,9 @@ F_q^* by (Z/mZ) x {0..d-1} through the generator omega^d of C.
 Switching between a wreath element and the cyclotomic form of the
 permutation it induces on F_q^* through that pairing is the group
 isomorphism behind everything else here; both directions are integer
-arithmetic on discrete logs.
+arithmetic on discrete logs.  The forms module reads a form's coset
+map psi off the same logs and inverts a permutation form by inverting
+its wreath element and switching back, both through the pairing.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ class WreathElem:
         return hash((self.psi, self.maps))
 
     def __str__(self):
-        return f"({self.psi}; " + ", ".join(str(g) for g in self.maps) + ")"
+        return wreath_strs([self])[0]
 
     def __repr__(self):
         return f"WreathElem({str(self)})"
@@ -289,6 +291,23 @@ class WreathElem:
             raise ValueError(f"unbalanced parentheses in {text!r}")
         psi = CosetPerm.parse(len(maps_text), head.strip())
         return cls(psi, [AffineMapZ.parse(s) for s in maps_text])
+
+
+def wreath_strs(elems) -> list[str]:
+    """Text forms '(psi; g_0, ..., g_{d-1})' of a batch, each distinct
+    psi and component map formatted once per call: representative
+    systems share a few of each among many elements."""
+    texts: dict = {}
+    out = []
+    for g in elems:
+        parts = []
+        for part in (g.psi, *g.maps):
+            text = texts.get(part)
+            if text is None:
+                text = texts[part] = str(part)
+            parts.append(text)
+        out.append(f"({parts[0]}; " + ", ".join(parts[1:]) + ")")
+    return out
 
 
 def fcp(g: WreathElem, cycle) -> AffineMapZ:

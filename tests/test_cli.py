@@ -217,6 +217,16 @@ def test_cycle_index_param_conflict(capsys):
     assert "status: error" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle-index", "--group", "gcp", "--q", "10", "--d", "3"),
+    ("reps", "--group", "w", "--kind", "long-cycle", "--q", "10", "--d", "3"),
+])
+def test_q_that_is_not_a_prime_power_is_an_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == "status: error\nmessage: --q 10 is not a prime power\n"
+
+
 def test_reps_w_long_cycle_golden(capsys):
     code, out = run(capsys, "reps", "--group", "w", "--kind", "long-cycle",
                     "--d", "2", "--m", "12")

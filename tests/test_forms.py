@@ -338,8 +338,10 @@ def test_inversion_round_trip(ctx_cache):
 
 
 def invert_per_term(f):
-    """invert_permutation before it stepped in j: every term
-    zeta^(i (t_i - j r_i)) a_i^(-rtilde_i - j m) powered on its own."""
+    """The closed-form reference for invert_permutation: with
+    r_i rtilde_i + m t_i = 1 (rtilde_i in 1..m), the inverse is
+    (1/d) sum_{i,j} zeta^(i (t_i - j r_i)) a_i^(-rtilde_i - j m)
+    T^(rtilde_i + j m), every term powered on its own."""
     ctx = f.ctx
     cfg = ctx.field
     d, m = ctx.d, ctx.m
@@ -384,3 +386,37 @@ def test_psi_maps_cosets_setwise(ctx_cache):
                 images = {ctx.coset_index(eval_cyclotomic(f, w**e))
                           for e in range(i, q - 1, d)}
                 assert images == {psi(i)}
+
+
+@pytest.mark.parametrize("q, d", [(9, 2), (25, 2), (25, 4), (49, 6), (64, 9),
+                                  (81, 5)])
+def test_psi_verdict_matches_field_powers(ctx_cache, q, d):
+    # forms past the zero and coprime screens, permutations (from random
+    # wreath elements) and random ones (mostly not): psi comes back
+    # exactly when the field-power coset images form a permutation
+    from cycloperm.forms import _screen_permutation
+    from cycloperm.wreath import wreath_to_cyclotomic
+    from tests_helpers import random_wreath
+    ctx = ctx_cache(q, d)
+    w = ctx.field.omega
+    rng = random.Random(q * d)
+    coprime = [r for r in range(1, ctx.m + 1) if math.gcd(r, ctx.m) == 1]
+    verdicts = set()
+    for n in range(40):
+        if n % 2:
+            f = wreath_to_cyclotomic(random_wreath(ctx, rng), ctx)
+        else:
+            f = CyclotomicForm(ctx,
+                               [w ** rng.randrange(q - 1) for _ in range(d)],
+                               [rng.choice(coprime) for _ in range(d)])
+        images = tuple(ctx.coset_index(f.a[i] * w ** (f.r[i] * i))
+                       for i in range(d))
+        bijective = sorted(images) == list(range(d))
+        if bijective:
+            assert _screen_permutation(f).images == images
+        else:
+            with pytest.raises(Rejected) as info:
+                _screen_permutation(f)
+            assert info.value.code == "psi-not-bijective"
+        verdicts.add(bijective)
+    assert verdicts == {True, False}

@@ -2,7 +2,8 @@
 defines a private top-level function or class it never uses, none
 but the oracle asks for the full discrete-log table, none but the field
 takes single discrete logs or builds an FqElem from coefficients, and
-none composes cycle indices by general substitution.
+none composes cycle indices by general substitution, and only
+eval_cyclotomic finds cosets by field powers.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -133,13 +134,18 @@ def test_only_the_field_builds_elements_from_coefficients(module):
     assert calls_of((SRC / module).read_text(), "FqElem") == 0
 
 
+def nodes_inside(tree, function: str) -> set[int]:
+    """ids of the nodes in the body of a top-level function."""
+    return {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == function
+            for node in ast.walk(top)}
+
+
 def general_composition_calls(source: str) -> int:
     """Calls of .substitute(...) or polya_compose(...), outside the body
     of polya_compose itself."""
     tree = ast.parse(source)
-    exempt = {id(node) for top in tree.body
-              if isinstance(top, ast.FunctionDef) and top.name == "polya_compose"
-              for node in ast.walk(top)}
+    exempt = nodes_inside(tree, "polya_compose")
     return sum(1 for node in ast.walk(tree)
                if isinstance(node, ast.Call) and id(node) not in exempt
                and (getattr(node.func, "attr", None) == "substitute"
@@ -159,3 +165,29 @@ def test_no_general_composition_in_the_package(module):
     # every Sym(d) composition goes through cycle_index._sym_substitute;
     # polya_compose and CycleIndex.substitute are references for tests
     assert general_composition_calls((SRC / module).read_text()) == 0
+
+
+def coset_index_calls(source: str) -> int:
+    """Calls of coset_index(...), outside the body of eval_cyclotomic."""
+    tree = ast.parse(source)
+    exempt = nodes_inside(tree, "eval_cyclotomic")
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and id(node) not in exempt
+               and "coset_index" in (getattr(node.func, "attr", None),
+                                     getattr(node.func, "id", None)))
+
+
+def test_coset_index_calls_detector():
+    source = ("def eval_cyclotomic(f, x):\n"
+              "    return f.a[f.ctx.coset_index(x)]\n"
+              "def coset_map_of(f):\n"
+              "    return [ctx.coset_index(y) for y in f.a]\n"
+              "b = coset_index(x)\nc = ctx.coset_index\n")
+    assert coset_index_calls(source) == 2
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_only_eval_cyclotomic_finds_cosets_by_field_powers(module):
+    # coset maps are read off dlogs batches: (L_i + r_i*i) mod d;
+    # coset_index, one field power per point, is the pointwise definition
+    assert coset_index_calls((SRC / module).read_text()) == 0
