@@ -52,7 +52,6 @@ from .wreath import (
     AffineMapZ,
     WreathElem,
     cycle_type_wreath,
-    cyclotomic_to_wreath,
     wreath_strs,
 )
 
@@ -141,7 +140,7 @@ def cmd_analyze(args) -> int:
             pass
         payload.update(status="rejected", reason=exc.code)
         return _emit(args, payload)
-    wz = cyclotomic_to_wreath(analysis.form, analysis.psi)
+    wz = analysis.wreath
     ct = cycle_type_wreath(wz)
     payload.update({
         "cyclotomic": str(analysis.form),
@@ -163,11 +162,7 @@ def cmd_invert(args) -> int:
     cfg = _resolve_field(args)
     ctx = CyclotomicContext(cfg, args.d)
     P = PolyForm.parse(cfg, args.poly)
-    try:
-        analysis = analyze_permutation(P, ctx)
-    except Rejected as exc:
-        return _emit(args, {"status": "rejected", "reason": exc.code})
-    inverse = invert_permutation(analysis.form)
+    inverse = invert_permutation(poly_to_cyclotomic(P, ctx))
     payload = {"status": "ok", "inverse": str(inverse)}
     if args.verify or args.check:
         # both are bijections fixing 0, so inverse after P = id suffices
@@ -197,11 +192,13 @@ def _reconcile_dm(args):
     d = args.d
     if d is None:
         raise CommandError("need --d")
+    if d < 1:
+        raise CommandError(f"--d {d} is not positive")
     if args.q is not None:
         _prime_power(args.q)
-        if (args.q - 1) % (d or 1) != 0:
+        if (args.q - 1) % d != 0:
             raise CommandError(f"d={d} does not divide q-1={args.q - 1}")
-        m = (args.q - 1) // (d or 1)
+        m = (args.q - 1) // d
         if args.m is not None and args.m != m:
             raise CommandError(f"--m {args.m} conflicts with --q {args.q} "
                                f"(expected m={m})")
@@ -296,6 +293,8 @@ def cmd_conjugate(args) -> int:
         mode = "W" if args.group == "w" else "Weq"
         g = WreathElem.parse(args.elements[0])
         h = WreathElem.parse(args.elements[1])
+        if (g.d, g.m) != (h.d, h.m):
+            raise CommandError(f"shapes differ: {(g.d, g.m)} vs {(h.d, h.m)}")
         inv_g = conjugacy_invariant(g, mode)
         inv_h = conjugacy_invariant(h, mode)
         verdict = inv_g == inv_h

@@ -207,6 +207,8 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
         raise ValueError(f"unknown group {group!r}")
     if kind not in ("long-cycle", "involution"):
         raise ValueError(f"unknown kind {kind!r}")
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     ident = AffineMapZ.identity(m)
     reps: list[WreathElem] = []
     if kind == "long-cycle":

@@ -323,12 +323,16 @@ def ci_gcp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
     For m = (q-1)/d this is the cycle index of the group of index-d
     generalized cyclotomic permutations of F_q restricted to F_q^*.
     """
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     hol = ci_hol(m)
     return _sym_substitute([hol.stretch(k) for k in range(1, d + 1)], cap)
 
 
 def ci_focp(d: int, m: int, cap: int = DEFAULT_CAP) -> CycleIndex:
     """Cycle index of W1(d,m) = (Z/mZ)_reg wr Sym(d) (first-order case)."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     reg = ci_regular(m)
     return _sym_substitute([reg.stretch(k) for k in range(1, d + 1)], cap)
 

@@ -14,9 +14,11 @@ d * V(1, zeta^-1, ..., zeta^-(d-1))^-1 is just zeta^(ij), so recovery
 is an O(d^2) exact DFT, no linear algebra needed (d is invertible in
 F_q because d | q-1).
 
-Non-form inputs are reported by raising ``Rejected`` with a machine
-readable reason code mirroring the halting conditions of the decision
-procedure:
+Non-form inputs are reported by raising ``Rejected`` (a ValueError)
+with a machine readable reason code mirroring the halting conditions of
+the decision procedure.  poly_to_cyclotomic raises the first four; the
+last three come from wreath.cyclotomic_to_wreath, since a form is a
+permutation exactly when its wreath form exists:
 
     nonzero-constant-term   constant term of the input is not 0
     too-many-terms          more than d^2 nonzero terms
@@ -33,14 +35,13 @@ variant that peels a constant off the polynomial first.
 
 from __future__ import annotations
 
-import math
-
 from .arith import rem1
 from .field import CyclotomicContext, FqElem
-from .wreath import CosetPerm, cyclotomic_to_wreath, wreath_to_cyclotomic
+from .wreath import (CosetPerm, WreathElem, cyclotomic_to_wreath,
+                     wreath_to_cyclotomic)
 
 
-class Rejected(Exception):
+class Rejected(ValueError):
     """Input is not (the polynomial form of) a cyclotomic map/permutation."""
 
     def __init__(self, code: str, detail: str = ""):
@@ -222,13 +223,18 @@ class CyclotomicForm:
 
 
 class PermutationAnalysis:
-    """Verdict of the permutation check: the form and its coset map."""
+    """Verdict of the permutation check: the form and its wreath form."""
 
-    __slots__ = ("form", "psi")
+    __slots__ = ("form", "wreath")
 
-    def __init__(self, form: CyclotomicForm, psi: CosetPerm):
+    def __init__(self, form: CyclotomicForm, wreath: WreathElem):
         self.form = form
-        self.psi = psi
+        self.wreath = wreath
+
+    @property
+    def psi(self) -> CosetPerm:
+        """The coset map: the wreath form's permutation of the cosets."""
+        return self.wreath.psi
 
 
 def eval_cyclotomic(f: CyclotomicForm, x: FqElem) -> FqElem:
@@ -303,36 +309,16 @@ def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
     return CyclotomicForm(ctx, a, r)
 
 
-def _screen_permutation(f: CyclotomicForm) -> CosetPerm:
-    """The coset map of a permutation form (all a_i nonzero, all r_i
-    coprime to m, psi bijective); raises Rejected otherwise.  With L_i
-    the log of a_i from one dlogs batch, a_i omega^(r_i i) lies in
-    C_psi(i) for psi(i) = (L_i + r_i i) mod d."""
-    ctx = f.ctx
-    for i in range(ctx.d):
-        if f.a[i].is_zero():
-            raise Rejected("zero-branch-coefficient", f"a_{i} = 0")
-    for i in range(ctx.d):
-        if math.gcd(f.r[i], ctx.m) > 1:
-            raise Rejected("exponent-not-coprime",
-                           f"gcd(r_{i}={f.r[i]}, m={ctx.m}) > 1")
-    images = [(log + r * i) % ctx.d
-              for i, (log, r) in enumerate(zip(ctx.field.dlogs(f.a), f.r))]
-    if sorted(images) != list(range(ctx.d)):
-        raise Rejected("psi-not-bijective", f"images {images}")
-    return CosetPerm(images)
-
-
 def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnalysis:
-    """Full permutation check: recover the form, screen the branch data,
-    and verify the induced coset map is a bijection."""
+    """Full permutation check: recover the form and switch it to wreath
+    form, which exists exactly when the form is a permutation."""
     form = poly_to_cyclotomic(P, ctx)
-    return PermutationAnalysis(form, _screen_permutation(form))
+    return PermutationAnalysis(form, cyclotomic_to_wreath(form))
 
 
 def is_permutation_form(f: CyclotomicForm) -> bool:
     try:
-        _screen_permutation(f)
+        cyclotomic_to_wreath(f)
     except Rejected:
         return False
     return True
@@ -340,12 +326,9 @@ def is_permutation_form(f: CyclotomicForm) -> bool:
 
 def invert_permutation(f: CyclotomicForm) -> PolyForm:
     """Polynomial form of the inverse of a permutation form: the inverse
-    of its wreath form, switched back to cyclotomic and polynomial form."""
-    try:
-        psi = _screen_permutation(f)
-    except Rejected:
-        raise ValueError("form is not a permutation; it has no inverse") from None
-    g = cyclotomic_to_wreath(f, psi).inverse()
+    of its wreath form, switched back to cyclotomic and polynomial form.
+    A non-permutation raises Rejected, a ValueError."""
+    g = cyclotomic_to_wreath(f).inverse()
     return cyclotomic_to_poly(wreath_to_cyclotomic(g, f.ctx))
 
 

@@ -25,9 +25,9 @@ F_q^* by (Z/mZ) x {0..d-1} through the generator omega^d of C.
 Switching between a wreath element and the cyclotomic form of the
 permutation it induces on F_q^* through that pairing is the group
 isomorphism behind everything else here; both directions are integer
-arithmetic on discrete logs.  The forms module reads a form's coset
-map psi off the same logs and inverts a permutation form by inverting
-its wreath element and switching back, both through the pairing.
+arithmetic on discrete logs.  A form is a permutation exactly when
+its wreath element exists, so cyclotomic_to_wreath is the permutation
+check and raises the forms module's Rejected with its reason codes.
 """
 
 from __future__ import annotations
@@ -206,6 +206,8 @@ class WreathElem:
 
     def __init__(self, psi: CosetPerm, maps):
         maps = tuple(maps)
+        if not maps:
+            raise ValueError("need at least one component map")
         if len(maps) != psi.d:
             raise ValueError(f"need {psi.d} component maps, got {len(maps)}")
         if len({g.m for g in maps}) > 1:
@@ -371,20 +373,28 @@ def wreath_to_cyclotomic(g: WreathElem, ctx: CyclotomicContext):
     return CyclotomicForm(ctx, a, r)
 
 
-def cyclotomic_to_wreath(f, psi: CosetPerm) -> WreathElem:
-    """Wreath element with coset permutation psi of the form f, from one
-    dlogs batch of its coefficients: with j = psi^-1(i) and L_j the log
-    of a_j, component i is lam(r_j, (L_j + r_j*j - i)/d).  Raises
-    ValueError when d does not divide L_j + r_j*j - i, that is, when
-    branch j does not map C_j into C_i."""
+def cyclotomic_to_wreath(f) -> WreathElem:
+    """Wreath element of the form f, which exists exactly when f is a
+    permutation: every a_j nonzero, every r_j coprime to m and the coset
+    map psi bijective.  With L_j the log of a_j from one dlogs batch,
+    branch j maps C_j onto C_psi(j) for psi(j) = (L_j + r_j*j) mod d, and
+    component psi(j) is lam(r_j, (L_j + r_j*j - psi(j))/d).  Raises
+    forms.Rejected for a non-permutation, screening in that order."""
+    from .forms import Rejected  # forms imports this module
     ctx = f.ctx
-    logs = ctx.field.dlogs(f.a)
-    psi_inv = psi.inverse()
-    maps = []
-    for i in range(ctx.d):
-        j = psi_inv(i)
-        e = logs[j] + f.r[j] * j - i
-        if e % ctx.d:
-            raise ValueError(f"branch {j} does not map C_{j} into C_{i}")
-        maps.append(AffineMapZ(ctx.m, f.r[j], e // ctx.d))
-    return WreathElem(psi, maps)
+    d, m = ctx.d, ctx.m
+    for j, a in enumerate(f.a):
+        if a.is_zero():
+            raise Rejected("zero-branch-coefficient", f"a_{j} = 0")
+    for j, r in enumerate(f.r):
+        if math.gcd(r, m) > 1:
+            raise Rejected("exponent-not-coprime",
+                           f"gcd(r_{j}={r}, m={m}) > 1")
+    exps = [log + r * j
+            for j, (log, r) in enumerate(zip(ctx.field.dlogs(f.a), f.r))]
+    images = [e % d for e in exps]
+    if sorted(images) != list(range(d)):
+        raise Rejected("psi-not-bijective", f"images {images}")
+    psi = CosetPerm(images)
+    return WreathElem(psi, [AffineMapZ(m, f.r[j], exps[j] // d)
+                            for j in psi.inverse().images])

@@ -75,7 +75,8 @@ def test_criterion_1_worked_example(ctx25d2):
     assert analysis.form.a == (w**5, w**21)
     assert analysis.form.r == (7, 5)
     assert analysis.psi == CosetPerm((1, 0))
-    wreath_z = cyclotomic_to_wreath(analysis.form, analysis.psi)
+    wreath_z = cyclotomic_to_wreath(analysis.form)
+    assert analysis.wreath == wreath_z
     assert wreath_z.maps[0] == AffineMapZ(12, 5, 1)
     assert wreath_z.maps[1] == AffineMapZ(12, 7, 2)
     assert wreath_z.str_over_c() == "((0,1); lam(5,w^2), lam(7,w^4))"

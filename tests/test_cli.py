@@ -5,6 +5,7 @@ import pytest
 
 from cycloperm import cli, conjugacy
 from cycloperm.cli import main
+from cycloperm.field import FqConfig
 from cycloperm.forms import PolyForm
 
 DEMO_POLY = "w^15*T^5 + w^23*T^7 + w^3*T^17 + w^23*T^19"
@@ -227,6 +228,19 @@ def test_q_that_is_not_a_prime_power_is_an_error(capsys, argv):
     assert out == "status: error\nmessage: --q 10 is not a prime power\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("cycle-index", "--group", "gcp", "--q", "25", "--d", "0"),
+    ("cycle-index", "--group", "focp", "--q", "25", "--d", "0"),
+    ("cycle-index", "--group", "gcp", "--m", "5", "--d", "0"),
+    ("cycle-index", "--group", "focp", "--m", "5", "--d", "0"),
+    ("reps", "--group", "w", "--kind", "involution", "--d", "0", "--m", "5"),
+])
+def test_d_below_1_is_an_error(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == "status: error\nmessage: --d 0 is not positive\n"
+
+
 def test_reps_w_long_cycle_golden(capsys):
     code, out = run(capsys, "reps", "--group", "w", "--kind", "long-cycle",
                     "--d", "2", "--m", "12")
@@ -338,6 +352,19 @@ def test_conjugate_m_ell_named(capsys):
     assert code == 0
     assert "conjugate: false" in out
     assert "distinguished_by: cycle-product-classes(l=1)" in out
+
+
+@pytest.mark.parametrize("group", ["w", "weq"])
+@pytest.mark.parametrize("other, shape", [
+    ("((0,1); lam(5,1)@11, lam(5,2)@11)", "(2, 11)"),
+    ("((0,1,2); lam(5,1)@12, lam(5,2)@12, lam(5,0)@12)", "(3, 12)"),
+])
+def test_conjugate_refuses_different_shapes(capsys, group, other, shape):
+    # like --group hol with different moduli: an error, not "false"
+    code, out = run(capsys, "conjugate", "--group", group,
+                    "((0,1); lam(5,1)@12, lam(5,2)@12)", other)
+    assert code == 1
+    assert out == f"status: error\nmessage: shapes differ: (2, 12) vs {shape}\n"
 
 
 def test_error_exit_code(capsys):
@@ -466,3 +493,21 @@ def test_reps_field_self_check_failure_is_an_error(capsys, monkeypatch, group,
     assert code == 1
     assert payload["status"] == "error"
     assert f"is not a {kind}" in payload["message"]
+
+
+@pytest.mark.parametrize("command, batches", [("invert", 2), ("analyze", 3)])
+def test_dlogs_batches_per_query(capsys, monkeypatch, command, batches):
+    # invert: the permutation check and printing the inverse; analyze:
+    # the check, printing the polynomial and printing the cyclotomic form
+    real = FqConfig.dlogs
+    calls = []
+
+    def counting(self, xs):
+        calls.append(xs)
+        return real(self, xs)
+
+    monkeypatch.setattr(FqConfig, "dlogs", counting)
+    code, _ = run(capsys, command, "--q", "25", "--d", "2",
+                  "--poly", DEMO_POLY)
+    assert code == 0
+    assert len(calls) == batches

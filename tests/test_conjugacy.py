@@ -267,6 +267,13 @@ def test_rep_system_w1_long_cycle():
         assert g.psi == CosetPerm.from_cycles(d, [tuple(range(d))])
 
 
+@pytest.mark.parametrize("group", ["W", "W1", "Weq"])
+@pytest.mark.parametrize("kind", ["long-cycle", "involution"])
+def test_rep_system_needs_d_at_least_1(group, kind):
+    with pytest.raises(ValueError, match="need d >= 1"):
+        rep_system(group, kind, 0, 5)
+
+
 def test_rep_system_w_involution_count():
     system = rep_system("W", "involution", 2, 12)
     assert len(system.reps) == 37  # C(8+1, 2) multisets + the paired class
@@ -370,7 +377,7 @@ def test_cp_long_cycle_display_is_alternate_representative(ctx_cache):
     conjugate within the equal-multiplier group: the corresponding
     forward cycle products lam(a^2, a^2) and lam(a^2, a) have unit
     translation parts, hence share one Hol class."""
-    from cycloperm.forms import CyclotomicForm, analyze_permutation, cyclotomic_to_poly
+    from cycloperm.forms import CyclotomicForm
     from cycloperm.wreath import cyclotomic_to_wreath
     ctx = ctx_cache(9, 2)  # m = 4: both units a in {1, 3} give classes
     w = ctx.field.omega
@@ -383,11 +390,8 @@ def test_cp_long_cycle_display_is_alternate_representative(ctx_cache):
     assert printed.a[1] != emitted.a[1]  # different representatives...
     assert materialize(printed).cycle_type().counts == ((8, 1),)
 
-    def to_wreath_z(form):
-        psi = analyze_permutation(cyclotomic_to_poly(form), ctx).psi
-        return cyclotomic_to_wreath(form, psi)
-
-    assert wreath_conjugate(to_wreath_z(printed), to_wreath_z(emitted), "Weq")
+    assert wreath_conjugate(cyclotomic_to_wreath(printed),
+                            cyclotomic_to_wreath(emitted), "Weq")
 
 
 def test_gcp_involution_display_diagnostic(ctx25d2):
@@ -401,15 +405,11 @@ def test_gcp_involution_display_diagnostic(ctx25d2):
     covers just 33 distinct classes.  The emitted representatives come
     from the isomorphism image and are verified complete elsewhere."""
     from cycloperm.arith import rem1
-    from cycloperm.forms import CyclotomicForm, analyze_permutation, cyclotomic_to_poly
+    from cycloperm.forms import CyclotomicForm
     from cycloperm.wreath import cyclotomic_to_wreath
     ctx = ctx25d2
     d, m = ctx.d, ctx.m
     w = ctx.field.omega
-
-    def to_wreath_z(form):
-        psi = analyze_permutation(cyclotomic_to_poly(form), ctx).psi
-        return cyclotomic_to_wreath(form, psi)
 
     emitted = reps_as_cyclotomic("GCP", "involution", ctx)
     wreath_reps = rep_system("W", "involution", d, m).reps
@@ -426,9 +426,9 @@ def test_gcp_involution_display_diagnostic(ctx25d2):
             tuple(rem1(rep.maps[j].a, m) for j in range(d)))
         perm = materialize(printed)
         assert perm.compose(perm).is_identity()
-        printed_z = to_wreath_z(printed)
+        printed_z = cyclotomic_to_wreath(printed)
         printed_invariants.append(conjugacy_invariant(printed_z, "W"))
-        if wreath_conjugate(printed_z, to_wreath_z(form), "W"):
+        if wreath_conjugate(printed_z, cyclotomic_to_wreath(form), "W"):
             class_same += 1
         else:
             class_shifted += 1

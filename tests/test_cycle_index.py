@@ -513,3 +513,11 @@ def test_wreath_ci_refuses_oversized_levels():
         ci_sym(4, cap=6)
     with pytest.raises(ValueError, match="exceeds the cap 109"):
         ci_gcp(2, 12, cap=109)
+
+
+@pytest.mark.parametrize("ci", [ci_sym, ci_gcp, ci_focp, ci_cp])
+@pytest.mark.parametrize("d", [0, -1])
+def test_wreath_cycle_indices_need_d_at_least_1(ci, d):
+    args = (d,) if ci is ci_sym else (d, 5)
+    with pytest.raises(ValueError):
+        ci(*args)

@@ -392,10 +392,10 @@ def test_psi_maps_cosets_setwise(ctx_cache):
                                   (81, 5)])
 def test_psi_verdict_matches_field_powers(ctx_cache, q, d):
     # forms past the zero and coprime screens, permutations (from random
-    # wreath elements) and random ones (mostly not): psi comes back
-    # exactly when the field-power coset images form a permutation
-    from cycloperm.forms import _screen_permutation
-    from cycloperm.wreath import wreath_to_cyclotomic
+    # wreath elements) and random ones (mostly not): the wreath form, and
+    # with it psi, comes back exactly when the field-power coset images
+    # form a permutation
+    from cycloperm.wreath import cyclotomic_to_wreath, wreath_to_cyclotomic
     from tests_helpers import random_wreath
     ctx = ctx_cache(q, d)
     w = ctx.field.omega
@@ -413,10 +413,10 @@ def test_psi_verdict_matches_field_powers(ctx_cache, q, d):
                        for i in range(d))
         bijective = sorted(images) == list(range(d))
         if bijective:
-            assert _screen_permutation(f).images == images
+            assert cyclotomic_to_wreath(f).psi.images == images
         else:
             with pytest.raises(Rejected) as info:
-                _screen_permutation(f)
+                cyclotomic_to_wreath(f)
             assert info.value.code == "psi-not-bijective"
         verdicts.add(bijective)
     assert verdicts == {True, False}

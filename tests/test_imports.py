@@ -1,9 +1,10 @@
 """No module of the package imports a name it never uses, none
 defines a private top-level function or class it never uses, none
 but the oracle asks for the full discrete-log table, none but the field
-takes single discrete logs or builds an FqElem from coefficients, and
-none composes cycle indices by general substitution, and only
-eval_cyclotomic finds cosets by field powers.
+takes single discrete logs or builds an FqElem from coefficients, none
+composes cycle indices by general substitution, only eval_cyclotomic
+finds cosets by field powers, and outside the field only
+wreath.cyclotomic_to_wreath takes a batch of discrete logs.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -86,10 +87,20 @@ def test_no_unreferenced_privates(module):
     assert unreferenced_privates((SRC / module).read_text()) == []
 
 
-def calls_of(source: str, name: str) -> int:
-    """Calls of anything with the given name, as a function or a method."""
-    return sum(1 for node in ast.walk(ast.parse(source))
-               if isinstance(node, ast.Call)
+def nodes_inside(tree, function: str) -> set[int]:
+    """ids of the nodes in the body of a top-level function."""
+    return {id(node) for top in tree.body
+            if isinstance(top, ast.FunctionDef) and top.name == function
+            for node in ast.walk(top)}
+
+
+def calls_of(source: str, name: str, outside: str | None = None) -> int:
+    """Calls of anything with the given name, as a function or a method,
+    outside the body of the top-level function named by outside."""
+    tree = ast.parse(source)
+    exempt = nodes_inside(tree, outside) if outside else set()
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and id(node) not in exempt
                and name in (getattr(node.func, "attr", None),
                             getattr(node.func, "id", None)))
 
@@ -134,13 +145,6 @@ def test_only_the_field_builds_elements_from_coefficients(module):
     assert calls_of((SRC / module).read_text(), "FqElem") == 0
 
 
-def nodes_inside(tree, function: str) -> set[int]:
-    """ids of the nodes in the body of a top-level function."""
-    return {id(node) for top in tree.body
-            if isinstance(top, ast.FunctionDef) and top.name == function
-            for node in ast.walk(top)}
-
-
 def general_composition_calls(source: str) -> int:
     """Calls of .substitute(...) or polya_compose(...), outside the body
     of polya_compose itself."""
@@ -167,27 +171,36 @@ def test_no_general_composition_in_the_package(module):
     assert general_composition_calls((SRC / module).read_text()) == 0
 
 
-def coset_index_calls(source: str) -> int:
-    """Calls of coset_index(...), outside the body of eval_cyclotomic."""
-    tree = ast.parse(source)
-    exempt = nodes_inside(tree, "eval_cyclotomic")
-    return sum(1 for node in ast.walk(tree)
-               if isinstance(node, ast.Call) and id(node) not in exempt
-               and "coset_index" in (getattr(node.func, "attr", None),
-                                     getattr(node.func, "id", None)))
-
-
 def test_coset_index_calls_detector():
     source = ("def eval_cyclotomic(f, x):\n"
               "    return f.a[f.ctx.coset_index(x)]\n"
               "def coset_map_of(f):\n"
               "    return [ctx.coset_index(y) for y in f.a]\n"
               "b = coset_index(x)\nc = ctx.coset_index\n")
-    assert coset_index_calls(source) == 2
+    assert calls_of(source, "coset_index", outside="eval_cyclotomic") == 2
 
 
 @pytest.mark.parametrize("module", ALL_MODULES)
 def test_only_eval_cyclotomic_finds_cosets_by_field_powers(module):
     # coset maps are read off dlogs batches: (L_i + r_i*i) mod d;
     # coset_index, one field power per point, is the pointwise definition
-    assert coset_index_calls((SRC / module).read_text()) == 0
+    assert calls_of((SRC / module).read_text(), "coset_index",
+                    outside="eval_cyclotomic") == 0
+
+
+def test_dlogs_calls_detector():
+    source = ("def cyclotomic_to_wreath(f):\n"
+              "    return f.ctx.field.dlogs(f.a)\n"
+              "def _screen_permutation(f):\n"
+              "    return cfg.dlogs(f.a)\n"
+              "b = dlogs([x])\nc = cfg.dlogs\n")
+    assert calls_of(source, "dlogs", outside="cyclotomic_to_wreath") == 2
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "field.py"])
+def test_only_the_wreath_switch_takes_dlogs_batches(module):
+    # a form's branch logs are its wreath form: cyclotomic_to_wreath
+    # takes them once and every later stage reads the wreath element
+    exempt = "cyclotomic_to_wreath" if module == "wreath.py" else None
+    assert calls_of((SRC / module).read_text(), "dlogs",
+                    outside=exempt) == 0

@@ -127,12 +127,11 @@ def test_iota_identity(ctx25d2):
 def test_iota_inverse_demo_example(ctx25d2):
     w = ctx25d2.field.omega
     form = CyclotomicForm(ctx25d2, (w**5, w**21), (7, 5))
-    g = cyclotomic_to_wreath(form, CosetPerm((1, 0)))
+    g = cyclotomic_to_wreath(form)
     assert g.psi.images == (1, 0)
     assert g.maps == (AffineMapZ(12, 5, 1), AffineMapZ(12, 7, 2))
     assert g.str_over_c() == "((0,1); lam(5,w^2), lam(7,w^4))"
-    ident = cyclotomic_to_wreath(CyclotomicForm.identity(ctx25d2),
-                                 CosetPerm.identity(2))
+    ident = cyclotomic_to_wreath(CyclotomicForm.identity(ctx25d2))
     assert ident == WreathElem.identity_z(2, 12)
 
 
@@ -140,21 +139,12 @@ def test_hol_c_to_z_paper_examples(ctx25d2):
     # the map x -> c*x^r on C = <w^2> is lam(r, c) over C; as coset 0 of a
     # form fixing both cosets it must come out as lam(r, b) with c = w^(2b)
     w, one = ctx25d2.field.omega, ctx25d2.field.one
-    ident = CosetPerm.identity(2)
     for r, c, b, shown in ((5, w**2, 1, "lam(5,w^2)"),
                            (7, w**4, 2, "lam(7,w^4)"),
                            (1, one, 0, "lam(1,w^0)")):
-        g = cyclotomic_to_wreath(CyclotomicForm(ctx25d2, (c, one), (r, 1)),
-                                 ident)
+        g = cyclotomic_to_wreath(CyclotomicForm(ctx25d2, (c, one), (r, 1)))
         assert g.maps == (AffineMapZ(12, r, b), AffineMapZ(12, 1, 0))
         assert g.str_over_c().startswith("(id; " + shown + ", ")
-
-
-def test_cyclotomic_to_wreath_rejects_foreign_psi(ctx25d2):
-    w = ctx25d2.field.omega
-    form = CyclotomicForm(ctx25d2, (w**5, w**21), (7, 5))  # its psi is (0,1)
-    with pytest.raises(ValueError):
-        cyclotomic_to_wreath(form, CosetPerm((0, 1)))
 
 
 def test_wreath_to_cyclotomic_rejects_other_shapes(ctx25d2):
@@ -175,7 +165,7 @@ def test_iota_round_trip(ctx_cache):
         for _ in range(170):
             g = random_wreath(ctx, rng)
             form = wreath_to_cyclotomic(g, ctx)
-            back = cyclotomic_to_wreath(form, g.psi)
+            back = cyclotomic_to_wreath(form)
             assert back == g
 
 
@@ -372,3 +362,11 @@ def test_wreath_parse_round_trip():
     text = "((0,1); lam(5,1)@12, lam(7,2)@12)"
     g = WreathElem.parse(text)
     assert str(g) == text
+
+
+def test_wreath_elem_needs_a_component():
+    # with no component there is no modulus m
+    with pytest.raises(ValueError, match="at least one component"):
+        WreathElem.parse("(id;)")
+    with pytest.raises(ValueError, match="at least one component"):
+        WreathElem(CosetPerm.identity(0), [])
