@@ -35,6 +35,7 @@ from .forms import (
     PolyForm,
     Rejected,
     analyze_permutation,
+    cyclotomic_strs,
     cyclotomic_to_poly,
     invert_permutation,
     poly_to_cyclotomic,
@@ -133,11 +134,9 @@ def cmd_analyze(args) -> int:
     try:
         analysis = analyze_permutation(P, ctx)
     except Rejected as exc:
-        try:
-            payload["cyclotomic"] = str(poly_to_cyclotomic(P, ctx))
+        if exc.form is not None:
+            payload["cyclotomic"] = str(exc.form)
             payload["permutation"] = False
-        except Rejected:
-            pass
         payload.update(status="rejected", reason=exc.code)
         return _emit(args, payload)
     wz = analysis.wreath
@@ -249,13 +248,7 @@ def cmd_reps(args) -> int:
         d, m = _reconcile_dm(args)
         system = rep_system(wname, kind, d, m)
         lines = wreath_strs(system.reps)
-        payload = {"status": "ok", "group": group, "kind": kind,
-                   "count": len(lines), "rep": lines}
-        if args.verify:
-            check_rep_system(system, args.cap)
-            payload["verified"] = True
-        return _emit(args, payload)
-    if group in ("gcp", "focp", "cp"):
+    elif group in ("gcp", "focp", "cp"):
         if args.d is None:
             raise CommandError("need --d")
         cfg = _resolve_field(args)
@@ -263,16 +256,18 @@ def cmd_reps(args) -> int:
         if args.m is not None and args.m != ctx.m:
             raise CommandError(f"--m {args.m} conflicts with q={cfg.q}, "
                                f"d={args.d} (expected m={ctx.m})")
-        forms = reps_as_cyclotomic(group.upper(), kind, ctx)
-        lines = [str(f) for f in forms]
-        payload = {"status": "ok", "group": group, "kind": kind,
-                   "count": len(lines), "rep": lines}
-        if args.verify:
-            wname = FIELD_GROUP_TO_WREATH[group.upper()]
-            check_rep_system(rep_system(wname, kind, ctx.d, ctx.m), args.cap)
-            payload["verified"] = True
-        return _emit(args, payload)
-    raise CommandError(f"unknown group {group!r}")
+        lines = cyclotomic_strs(reps_as_cyclotomic(group.upper(), kind, ctx))
+        # the forms' wreath system, built again only for --verify
+        wname, d, m = FIELD_GROUP_TO_WREATH[group.upper()], ctx.d, ctx.m
+        system = None
+    else:
+        raise CommandError(f"unknown group {group!r}")
+    payload = {"status": "ok", "group": group, "kind": kind,
+               "count": len(lines), "rep": lines}
+    if args.verify:
+        check_rep_system(system or rep_system(wname, kind, d, m), args.cap)
+        payload["verified"] = True
+    return _emit(args, payload)
 
 
 def cmd_conjugate(args) -> int:

@@ -21,21 +21,18 @@ W=(d,m); note that W(d,m)-conjugacy is strictly coarser (a conjugator
 with non-constant components can change the multiplier), so the two
 modes genuinely differ.
 
-Representative systems:
+Representative systems, one construction per kind for all three groups:
 
-* W long cycles: L_a = ((0..d-1), (lam(a,1), id, ..., id)) for
-  a = 1 + k*rad'(m), exactly m/rad'(m) classes;
-* W involutions: pair off the first 2k coordinates with identity maps
-  and put a lexicographically ordered multiset of Hol involution class
-  representatives on the fixed coordinates;
-* W1 (translations only): a single long-cycle class; involutions are
-  the same shape with translation parts in {b : 2b = 0}, zeros first;
-* W= long cycles: L_a with all components sharing the multiplier a,
-  for every unit a with a^d = 1 (mod rad'(m)); involutions as for W
-  but with one involution multiplier a throughout.
-
-The transposition pattern for involution representatives is always
-(0,1)(2,3)...(2k-2,2k-1) with the fixed points at the end.
+* long cycles: L_a = ((0..d-1); lam(a,1), rest, ..., rest) with rest =
+  lam(a,0) in W= and the identity otherwise, for a = 1 + j*rad'(m)
+  (W, m/rad'(m) classes), a = 1 (W1), or every unit a with
+  a^d = 1 (mod rad'(m)) (W=);
+* involutions: psi = (0,1)(2,3)...(2k-2,2k-1) with lam(a,0) on the 2k
+  paired coordinates and a sorted multiset from a pool of Hol
+  involution class representatives on the d-2k fixed ones; per k one
+  block (a, pool): (1, all classes) in W, (1, the classes lam(1,b),
+  b in {0, m/2}) in W1, and one block per involution unit a with the
+  classes of multiplier a in W=.
 """
 
 from __future__ import annotations
@@ -196,10 +193,6 @@ class RepSystem(NamedTuple):
     reps: tuple
 
 
-def _involution_transposition_perm(d: int, k: int) -> CosetPerm:
-    return CosetPerm.from_cycles(d, [(2 * j, 2 * j + 1) for j in range(k)])
-
-
 def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
     """Complete system of conjugacy class representatives of the given
     kind in W(d,m), W1(d,m) or W=(d,m)."""
@@ -209,59 +202,37 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
         raise ValueError(f"unknown kind {kind!r}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    ident = AffineMapZ.identity(m)
-    reps: list[WreathElem] = []
     if kind == "long-cycle":
-        cycle = CosetPerm.from_cycles(d, [tuple(range(d))])
         rp = rad_prime(m)
         if group == "W":
             multipliers = [1 + j * rp for j in range(m // rp)]
-            for a in multipliers:
-                reps.append(WreathElem(cycle, [AffineMapZ(m, a, 1)]
-                                       + [ident] * (d - 1)))
         elif group == "W1":
-            reps.append(WreathElem(cycle, [AffineMapZ(m, 1, 1)]
-                                   + [ident] * (d - 1)))
+            multipliers = [1]
         else:
-            for a in units(m):
-                if pow(a, d, rp) == 1 % rp:
-                    reps.append(WreathElem(
-                        cycle, [AffineMapZ(m, a, 1)]
-                        + [AffineMapZ(m, a, 0)] * (d - 1)))
+            multipliers = [a for a in units(m) if pow(a, d, rp) == 1 % rp]
+        cycle = CosetPerm.from_cycles(d, [tuple(range(d))])
+        reps = []
+        for a in multipliers:
+            rest = AffineMapZ(m, a if group == "Weq" else 1, 0)
+            reps.append(WreathElem(cycle, (AffineMapZ(m, a, 1),)
+                                   + (rest,) * (d - 1)))
         return RepSystem(group, kind, d, m, tuple(reps))
-    # involutions
+    classes = sorted(hol_involution_reps(m), key=lambda g: (g.a, g.b))
     if group == "W":
-        classes = sorted(hol_involution_reps(m), key=lambda g: (g.a, g.b))
-        for k in range(d // 2 + 1):
-            psi = _involution_transposition_perm(d, k)
-            for combo in itertools.combinations_with_replacement(
-                    classes, d - 2 * k):
-                reps.append(WreathElem(psi, [ident] * (2 * k) + list(combo)))
+        blocks = [(1, classes)]
     elif group == "W1":
-        has_half = m % 2 == 0 and m > 1
-        for k in range(d // 2 + 1):
-            psi = _involution_transposition_perm(d, k)
-            max_nonzero = d - 2 * k if has_half else 0
-            for nonzero in range(max_nonzero + 1):
-                zeros = d - 2 * k - nonzero
-                maps = ([ident] * (2 * k) + [AffineMapZ(m, 1, 0)] * zeros
-                        + [AffineMapZ(m, 1, m // 2)] * nonzero)
-                reps.append(WreathElem(psi, maps))
+        blocks = [(1, [g for g in classes if g.a == 1 % m])]
     else:
-        all_classes = hol_involution_reps(m)
-        invol_units = [a for a in units(m) if a * a % m == 1 % m]
-        for k in range(d // 2 + 1):
-            psi = _involution_transposition_perm(d, k)
-            for a in invol_units:
-                same_a = sorted((g for g in all_classes if g.a == a),
-                                key=lambda g: (g.a, g.b))
-                paired = [AffineMapZ(m, a, 0)] * (2 * k)
-                if d == 2 * k:
-                    reps.append(WreathElem(psi, paired))
-                    continue
-                for combo in itertools.combinations_with_replacement(
-                        same_a, d - 2 * k):
-                    reps.append(WreathElem(psi, paired + list(combo)))
+        blocks = [(a, list(pool))
+                  for a, pool in itertools.groupby(classes, lambda g: g.a)]
+    reps = []
+    for k in range(d // 2 + 1):
+        psi = CosetPerm.from_cycles(d, [(2 * j, 2 * j + 1) for j in range(k)])
+        for a, pool in blocks:
+            paired = (AffineMapZ(m, a, 0),) * (2 * k)
+            for combo in itertools.combinations_with_replacement(
+                    pool, d - 2 * k):
+                reps.append(WreathElem(psi, paired + combo))
     return RepSystem(group, kind, d, m, tuple(reps))
 
 

@@ -44,6 +44,8 @@ from .wreath import (CosetPerm, WreathElem, cyclotomic_to_wreath,
 class Rejected(ValueError):
     """Input is not (the polynomial form of) a cyclotomic map/permutation."""
 
+    form = None  # analyze_permutation's recovered form, if not a permutation
+
     def __init__(self, code: str, detail: str = ""):
         self.code = code
         super().__init__(f"{code}: {detail}" if detail else code)
@@ -204,9 +206,7 @@ class CyclotomicForm:
         return hash((self.a, self.r))
 
     def __str__(self):
-        alist = ",".join(self.ctx.field.elem_strs(self.a))
-        rlist = ",".join(str(ri) for ri in self.r)
-        return f"f(a=[{alist}], r=[{rlist}])"
+        return cyclotomic_strs([self])[0]
 
     def __repr__(self):
         return f"CyclotomicForm({str(self)})"
@@ -220,6 +220,18 @@ class CyclotomicForm:
         a = [ctx.field.parse_elem(s) for s in m.group(1).split(",")]
         r = [int(s) for s in m.group(2).split(",")]
         return cls(ctx, a, r)
+
+
+def cyclotomic_strs(forms) -> list[str]:
+    """Text forms 'f(a=[...], r=[...])' of a batch of forms over one
+    field, every branch coefficient formatted through one elem_strs call."""
+    forms = list(forms)
+    if not forms:
+        return []
+    coeffs = iter(forms[0].ctx.field.elem_strs(
+        ai for f in forms for ai in f.a))
+    return [f"f(a=[{','.join(next(coeffs) for _ in f.a)}], "
+            f"r=[{','.join(map(str, f.r))}])" for f in forms]
 
 
 class PermutationAnalysis:
@@ -294,26 +306,28 @@ def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
         v = [P.coeff(j * m + rho) for j in range(d)]
         b.append([sum((zeta_pows[i * j % d] * v[j] for j in range(d)),
                       cfg.zero) for i in range(d)])
-    lcount = len(rhos)
-    membership: list[list[int]] = [[] for _ in range(d)]
+    # branch i belongs to the one group l with b[l][i] != 0, or to group 0
+    # when there is none
+    groups = []
     for i in range(d):
-        if not b[0][i].is_zero() or all(b[l][i].is_zero() for l in range(lcount)):
-            membership[i].append(0)
-        for l in range(1, lcount):
-            if not b[l][i].is_zero():
-                membership[i].append(l)
-    if any(len(groups) != 1 for groups in membership):
-        raise Rejected("not-a-partition")
-    a = tuple(b[membership[i][0]][i] for i in range(d))
-    r = tuple(rhos[membership[i][0]] for i in range(d))
-    return CyclotomicForm(ctx, a, r)
+        nz = [l for l in range(len(rhos)) if not b[l][i].is_zero()]
+        if len(nz) > 1:
+            raise Rejected("not-a-partition")
+        groups.append(nz[0] if nz else 0)
+    return CyclotomicForm(ctx, (b[l][i] for i, l in enumerate(groups)),
+                          (rhos[l] for l in groups))
 
 
 def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnalysis:
     """Full permutation check: recover the form and switch it to wreath
-    form, which exists exactly when the form is a permutation."""
+    form, which exists exactly when the form is a permutation.  When
+    only the switch rejects, the Rejected carries the recovered form."""
     form = poly_to_cyclotomic(P, ctx)
-    return PermutationAnalysis(form, cyclotomic_to_wreath(form))
+    try:
+        return PermutationAnalysis(form, cyclotomic_to_wreath(form))
+    except Rejected as exc:
+        exc.form = form
+        raise
 
 
 def is_permutation_form(f: CyclotomicForm) -> bool:

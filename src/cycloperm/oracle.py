@@ -155,37 +155,27 @@ def enumerate_hol(m: int, cap: int = DEFAULT_CAP):
             yield AffineMapZ(m, a, b)
 
 
-def _perms(d: int):
-    for images in itertools.permutations(range(d)):
-        yield CosetPerm(images)
-
-
 def enumerate_group(group: str, d: int, m: int, cap: int = DEFAULT_CAP):
-    """Stream W(d,m), W1(d,m) or Weq(d,m), each element exactly once."""
+    """Stream Hol(Z/mZ), W(d,m), W1(d,m) or Weq(d,m), each element
+    exactly once: per psi, all component tuples from each map pool."""
     if group == "Hol":
         yield from enumerate_hol(m, cap)
         return
+    if group not in ("W", "W1", "Weq"):
+        raise ValueError(f"unknown group {group!r}")
     if group_order(group, d, m) > cap:
         raise ValueError(f"|{group}({d},{m})| exceeds the cap {cap}")
-    psis = list(_perms(d))
     if group == "W":
-        maps_pool = [AffineMapZ(m, a, b) for a in units(m) for b in range(m)]
-        for psi in psis:
-            for maps in itertools.product(maps_pool, repeat=d):
-                yield WreathElem(psi, maps)
+        pools = [[AffineMapZ(m, a, b) for a in units(m) for b in range(m)]]
     elif group == "W1":
-        maps_pool = [AffineMapZ(m, 1, b) for b in range(m)]
-        for psi in psis:
-            for maps in itertools.product(maps_pool, repeat=d):
+        pools = [[AffineMapZ(m, 1, b) for b in range(m)]]
+    else:  # one pool per common multiplier
+        pools = [[AffineMapZ(m, a, b) for b in range(m)] for a in units(m)]
+    for images in itertools.permutations(range(d)):
+        psi = CosetPerm(images)
+        for pool in pools:
+            for maps in itertools.product(pool, repeat=d):
                 yield WreathElem(psi, maps)
-    elif group == "Weq":
-        for psi in psis:
-            for a in units(m):
-                pool = [AffineMapZ(m, a, b) for b in range(m)]
-                for maps in itertools.product(pool, repeat=d):
-                    yield WreathElem(psi, maps)
-    else:
-        raise ValueError(f"unknown group {group!r}")
 
 
 def ci_brute(elements, size: int | None = None) -> CycleIndex:

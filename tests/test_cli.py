@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from cycloperm import cli, conjugacy
+from cycloperm import cli, conjugacy, forms
 from cycloperm.cli import main
 from cycloperm.field import FqConfig
 from cycloperm.forms import PolyForm
@@ -83,6 +83,33 @@ def test_analyze_non_permutation_map_reports_form(capsys):
     assert payload["reason"] == "exponent-not-coprime"
     assert payload["permutation"] is False
     assert payload["cyclotomic"] == "f(a=[w^0,w^0], r=[2,2])"
+
+
+def test_analyze_non_permutation_map_converts_once(capsys, monkeypatch):
+    # the rejected permutation check hands back the form it recovered
+    real = forms.poly_to_cyclotomic
+    calls = []
+
+    def counting(P, ctx):
+        calls.append(P)
+        return real(P, ctx)
+
+    monkeypatch.setattr(forms, "poly_to_cyclotomic", counting)
+    monkeypatch.setattr(cli, "poly_to_cyclotomic", counting)
+    code, out = run(capsys, "analyze", "--q", "25", "--d", "2",
+                    "--poly", "T^2")
+    assert code == 2
+    assert len(calls) == 1
+    assert out == """\
+status: rejected
+field: q=25 modulus=[2, 4, 1]
+d: 2
+m: 12
+poly: w^0*T^2
+cyclotomic: f(a=[w^0,w^0], r=[2,2])
+permutation: false
+reason: exponent-not-coprime
+"""
 
 
 def test_analyze_verify(capsys):
@@ -495,10 +522,15 @@ def test_reps_field_self_check_failure_is_an_error(capsys, monkeypatch, group,
     assert f"is not a {kind}" in payload["message"]
 
 
-@pytest.mark.parametrize("command, batches", [("invert", 2), ("analyze", 3)])
-def test_dlogs_batches_per_query(capsys, monkeypatch, command, batches):
+@pytest.mark.parametrize("argv, batches", [
+    (["invert", "--poly", DEMO_POLY], 2),
+    (["analyze", "--poly", DEMO_POLY], 3),
+    (["reps", "--group", "gcp", "--kind", "involution"], 1),
+], ids=["invert-2", "analyze-3", "reps-1"])
+def test_dlogs_batches_per_query(capsys, monkeypatch, argv, batches):
     # invert: the permutation check and printing the inverse; analyze:
-    # the check, printing the polynomial and printing the cyclotomic form
+    # the check, printing the polynomial and printing the cyclotomic form;
+    # reps: printing all 37 representative forms
     real = FqConfig.dlogs
     calls = []
 
@@ -507,7 +539,6 @@ def test_dlogs_batches_per_query(capsys, monkeypatch, command, batches):
         return real(self, xs)
 
     monkeypatch.setattr(FqConfig, "dlogs", counting)
-    code, _ = run(capsys, command, "--q", "25", "--d", "2",
-                  "--poly", DEMO_POLY)
+    code, _ = run(capsys, *argv, "--q", "25", "--d", "2")
     assert code == 0
     assert len(calls) == batches

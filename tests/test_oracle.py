@@ -90,6 +90,11 @@ def test_enumeration_cap():
         list(enumerate_group("W", 4, 100, cap=1000))
 
 
+def test_enumeration_unknown_group():
+    with pytest.raises(ValueError, match="unknown group 'X'"):
+        list(enumerate_group("X", 2, 3))
+
+
 def test_ci_brute_golden():
     assert ci_brute(enumerate_group("Hol", 1, 12), 48) == ci_hol(12)
     trivial = ci_brute([WreathElem.identity_z(2, 5)])
