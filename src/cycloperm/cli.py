@@ -46,8 +46,8 @@ from .oracle import (
     ci_brute,
     enumerate_group,
     group_order,
+    image_logs,
     materialize,
-    pointwise,
 )
 from .wreath import (
     AffineMapZ,
@@ -180,9 +180,12 @@ def cmd_to_poly(args) -> int:
     P = cyclotomic_to_poly(form)
     payload = {"status": "ok", "poly": str(P)}
     if args.verify:
-        for (x, y), (_, z) in zip(pointwise(P), pointwise(form)):
-            if y != z:
-                raise CommandError(f"pointwise mismatch at {x}")
+        # both walks list the points 0, w^0, ..., w^(q-2) in this order
+        ys, zs = image_logs(P), image_logs(form)
+        if ys != zs:
+            i = next(i for i, (y, z) in enumerate(zip(ys, zs)) if y != z)
+            raise CommandError(
+                f"pointwise mismatch at {f'w^{i - 1}' if i else '0'}")
         payload["check"] = "pointwise-ok"
     return _emit(args, payload)
 
@@ -256,16 +259,15 @@ def cmd_reps(args) -> int:
         if args.m is not None and args.m != ctx.m:
             raise CommandError(f"--m {args.m} conflicts with q={cfg.q}, "
                                f"d={args.d} (expected m={ctx.m})")
-        lines = cyclotomic_strs(reps_as_cyclotomic(group.upper(), kind, ctx))
-        # the forms' wreath system, built again only for --verify
-        wname, d, m = FIELD_GROUP_TO_WREATH[group.upper()], ctx.d, ctx.m
-        system = None
+        system = rep_system(FIELD_GROUP_TO_WREATH[group.upper()], kind,
+                            ctx.d, ctx.m)
+        lines = cyclotomic_strs(reps_as_cyclotomic(system, ctx))
     else:
         raise CommandError(f"unknown group {group!r}")
     payload = {"status": "ok", "group": group, "kind": kind,
                "count": len(lines), "rep": lines}
     if args.verify:
-        check_rep_system(system or rep_system(wname, kind, d, m), args.cap)
+        check_rep_system(system, args.cap)
         payload["verified"] = True
     return _emit(args, payload)
 

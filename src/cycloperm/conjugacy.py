@@ -239,26 +239,23 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
 FIELD_GROUP_TO_WREATH = {"GCP": "W", "FOCP": "W1", "CP": "Weq"}
 
 
-def reps_as_cyclotomic(group: str, kind: str, ctx: CyclotomicContext) -> list:
+def reps_as_cyclotomic(system: RepSystem, ctx: CyclotomicContext) -> list:
     """Representative systems at field level, in cyclotomic form.
 
-    Takes the wreath representatives for the matching group over
-    m = (q-1)/d and maps them through the form isomorphism.  Every
-    output is verified to be a permutation form of the claimed kind
-    (full cycle on F_q^* resp. involution), by materializing it; a
-    failure raises ValueError.
+    Maps the wreath representatives of a system over m = (q-1)/d (W for
+    GCP, W1 for FOCP, W= for CP; see FIELD_GROUP_TO_WREATH) through the
+    form isomorphism.  Every output is verified to be a permutation
+    form of the system's kind (full cycle on F_q^* resp. involution),
+    by materializing it; a failure raises ValueError.
     """
     from .oracle import materialize  # oracle imports this module
-    if group not in FIELD_GROUP_TO_WREATH:
-        raise ValueError(f"unknown field-level group {group!r}")
-    system = rep_system(FIELD_GROUP_TO_WREATH[group], kind, ctx.d, ctx.m)
-    lengths = {ctx.field.q - 1} if kind == "long-cycle" else {1, 2}
+    lengths = {ctx.field.q - 1} if system.kind == "long-cycle" else {1, 2}
     out = []
     for g in system.reps:
         form = wreath_to_cyclotomic(g, ctx)
         ct = materialize(form).cycle_type()
         if not {length for length, _ in ct.counts} <= lengths:
             raise ValueError(f"representative {g} maps to {form}, which "
-                             f"is not a {kind} (cycle type {ct})")
+                             f"is not a {system.kind} (cycle type {ct})")
         out.append(form)
     return out

@@ -35,10 +35,15 @@ pass: it grows the table to ceil(sqrt(t*(q-1))) entries (at most q-1),
 then takes at most (q-1)/size giant steps per element, about
 2*sqrt(t*(q-1)) products in all and never more than q-1+t.  Printing a
 polynomial or a cyclotomic form is one such batch, so it costs
-O(sqrt(t*q)) products; only ``oracle.materialize`` asks for the whole
-table (``dlog_table``).  Every other logarithm (``dlog`` to any base)
+O(sqrt(t*q)) products.  Every other logarithm (``dlog`` to any base)
 is read off two omega-logs.  Keep q below ~2^20 on dlog-dependent
 paths.
+
+Only the oracle, which walks all of F_q in discrete logs
+(``oracle.image_logs``), asks for the whole table (``dlog_table``) and
+for the Zech logarithms ``1 + omega^n = omega^Z[n]`` (``zech_table``),
+built from it lazily, once per field, by one field addition per entry.
+A form conversion never builds either.
 """
 
 from __future__ import annotations
@@ -170,6 +175,7 @@ class FqConfig:
         # ints; _next = omega^len(_logs), packed
         self._logs: dict[int, int] = {}
         self._next = self.one.packed
+        self._zech = None  # the Zech table, built by zech_table
         self._lock = threading.Lock()
         if not _has_order(self._mul, self.omega.packed, self.q - 1,
                           self.q_minus_1_factors):
@@ -231,10 +237,27 @@ class FqConfig:
 
     def dlog_table(self) -> dict[int, int]:
         """packed -> e with omega^e: the baby-step table grown to all
-        q-1 entries.  For oracle.materialize, which logs every point."""
+        q-1 entries.  For oracle.image_logs, which logs every point."""
         with self._lock:
             self._grow(self.q - 1)
         return self._logs
+
+    def zech_table(self):
+        """Zech logarithms, an array('l'): entry n is the Z with
+        1 + omega^n = omega^Z, or -1 where 1 + omega^n = 0 (n = 0 for
+        p = 2, n = (q-1)/2 for odd p).  Built once, from the full dlog
+        table, by one field addition per entry.  For oracle.image_logs,
+        which sums terms."""
+        with self._lock:
+            if self._zech is None:
+                from array import array  # imported only by the oracle's walk
+                self._grow(self.q - 1)
+                logs, add, one = self._logs, self._add, self.one.packed
+                zech = array("l", [-1]) * (self.q - 1)
+                for x, e in logs.items():
+                    zech[e] = logs.get(add(x, one), -1)
+                self._zech = zech
+        return self._zech
 
     def elem_strs(self, xs) -> list[str]:
         """Canonical text forms of a batch, through one dlogs pass."""

@@ -1,12 +1,19 @@
 """Brute-force ground truth: materialize anything as an explicit
 permutation, enumerate whole groups, and compute cycle types, cycle
-indices and conjugacy straight from the definitions.  ``pointwise`` is
-the package's one walk over the points of F_q.
+indices and conjugacy straight from the definitions.
 
 Cyclotomic/polynomial forms act on F_q^*, labeled by the discrete-log
 index of omega (index e <-> omega^e); wreath elements act on
-(Z/mZ) x {0..d-1}, labeled x + m*i.  Enumeration sizes are guarded by
-an explicit cap (default 10^7): exceeding it raises instead of
+(Z/mZ) x {0..d-1}, labeled x + m*i.  Every walk is integer arithmetic
+on lists.  ``image_logs``, the package's one walk over the points of
+F_q, works in discrete logs: branch logs for a cyclotomic form, Zech
+logarithms for the sums of a polynomial form (``FqConfig.dlog_table``
+and ``zech_table``), so it needs no field operation per point.
+``forms.PolyForm.eval`` and ``forms.eval_cyclotomic`` remain the field
+arithmetic definitions that the tests compare this walk against.  A
+wreath element is walked one coset at a time, by the definition
+(x, i) -> (g_j(x), j) with j = psi(i).  Enumeration sizes are guarded
+by an explicit cap (default 10^7): exceeding it raises instead of
 silently truncating.
 """
 
@@ -25,6 +32,7 @@ from .conjugacy import (
     is_long_cycle,
 )
 from .cycle_index import DEFAULT_CAP, CycleIndex, CycleType
+from .forms import CyclotomicForm, PolyForm
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
 
@@ -79,59 +87,87 @@ class NotBijective(ValueError):
 
 
 def _check_bijection(images, labels):
-    hit: dict[int, int] = {}
-    for src, img in enumerate(images):
-        if img in hit:
-            raise NotBijective((labels(hit[img]), labels(src), img))
-        hit[img] = src
+    """images, a list over {0, ..., n-1} with values in that range,
+    after checking it is a bijection; else NotBijective names the first
+    collision: its two points and their image, each through labels."""
+    if len(set(images)) < len(images):
+        hit: dict[int, int] = {}
+        for src, img in enumerate(images):
+            if img in hit:
+                raise NotBijective((labels(hit[img]), labels(src), labels(img)))
+            hit[img] = src
     return images
 
 
-def pointwise(form):
-    """(x, form(x)) for x = 0, omega^0, ..., omega^(q-2), each power one
-    product after the last; form is a PolyForm or a CyclotomicForm."""
-    from .forms import PolyForm, eval_cyclotomic
+def _affine_images(g: AffineMapZ, offset: int = 0) -> list[int]:
+    """offset + g(x) for x = 0, ..., m-1."""
+    a, b, m = g.a, g.b, g.m
+    return [(a * x + b) % m + offset for x in range(m)]
+
+
+# points per block of the polynomial walk: only one block's running sums
+# are alive at a time, so its peak memory is the output list
+_BLOCK = 4096
+
+
+def image_logs(form) -> list:
+    """The value of a PolyForm or a CyclotomicForm at each point of F_q,
+    in the order 0, w^0, ..., w^(q-2): e for w^e, None for 0.
+
+    Integer arithmetic on discrete logs, with n = q-1.  A cyclotomic
+    form sends w^e in C_i (i = e mod d) to w^(L(a_i) + r_i*e).  A
+    polynomial's term c_j T^j is w^(L(c_j) + j*e) at w^e; terms are
+    summed by Zech logarithms, w^a + w^t = w^(a + Z[t-a]), a running
+    sum that cancels to 0 restarting at the next term."""
     if isinstance(form, PolyForm):
-        cfg, apply = form.cfg, form.eval
-    else:
-        cfg, apply = form.ctx.field, lambda x: eval_cyclotomic(form, x)
-    yield cfg.zero, apply(cfg.zero)
-    x = cfg.one
-    for _ in range(cfg.q - 1):
-        yield x, apply(x)
-        x = x * cfg.omega
+        cfg = form.cfg
+        n, logs, zech = cfg.q - 1, cfg.dlog_table(), cfg.zech_table()
+        # on F_q^*, T^0 = T^(q-1): a constant term's log steps by n
+        terms = [(logs[c.packed], j or n) for j, c in form.coeffs.items()]
+        c0 = form.coeffs.get(0)
+        images = [None if c0 is None else logs[c0.packed]]
+        for e0 in range(0, n, _BLOCK):
+            e1 = min(e0 + _BLOCK, n)
+            sums = [None] * (e1 - e0)
+            for lc, j in terms:
+                sums = [t % n if a is None
+                        else None if (z := zech[(t - a) % n]) < 0
+                        else (a + z) % n
+                        for t, a in zip(range(lc + j * e0, lc + j * e1, j),
+                                        sums)]
+            images += sums
+        return images
+    ctx = form.ctx
+    n, d, logs = ctx.field.q - 1, ctx.d, ctx.field.dlog_table()
+    images = [None] * (n + 1)
+    for i, (a, r) in enumerate(zip(form.a, form.r)):
+        if not a.is_zero():
+            la = logs[a.packed]
+            images[1 + i::d] = [(la + r * e) % n for e in range(i, n, d)]
+    return images
 
 
 def materialize(obj) -> ExplicitPerm:
     """Explicit permutation of a cyclotomic form, a polynomial form
     (both on F_q^*, discrete-log labeling) or a wreath element (on
     (Z/mZ) x {0..d-1}, pair labeling x + m*i).  Raises NotBijective
-    with two colliding points (0 among them when a form sends w^e to 0),
-    and ValueError when a form does not fix 0."""
-    from .forms import CyclotomicForm, PolyForm
+    with two colliding points and their image (0 among them when a form
+    sends w^e to 0), and ValueError when a form does not fix 0."""
     if isinstance(obj, AffineMapZ):
-        return ExplicitPerm(_check_bijection(
-            [obj.apply(x) for x in range(obj.m)], lambda x: x))
+        return ExplicitPerm(_check_bijection(_affine_images(obj), lambda x: x))
     if isinstance(obj, WreathElem):
-        d, m = obj.d, obj.m
+        m = obj.m
         images = []
-        for idx in range(d * m):
-            x, i = idx % m, idx // m
-            y, j = obj.apply((x, i))
-            images.append(y + m * j)
+        for j in obj.psi.images:  # coset i goes to coset j = psi(i)
+            images += _affine_images(obj.maps[j], m * j)
         return ExplicitPerm(_check_bijection(
             images, lambda idx: (idx % m, idx // m)))
     if isinstance(obj, (CyclotomicForm, PolyForm)):
-        walk = pointwise(obj)
-        zero, y = next(walk)
-        if not y.is_zero():
+        at_zero, *images = image_logs(obj)
+        if at_zero is not None:
             raise ValueError("the map does not fix 0: P(0) != 0")
-        table = zero.cfg.dlog_table()
-        images = []
-        for e, (_, y) in enumerate(walk):
-            if y.is_zero():
-                raise NotBijective(("0", f"w^{e}", "0"))
-            images.append(table[y.packed])
+        if None in images:
+            raise NotBijective(("0", f"w^{images.index(None)}", "0"))
         return ExplicitPerm(_check_bijection(images, lambda e: f"w^{e}"))
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 

@@ -44,7 +44,6 @@ from cycloperm.oracle import (
     enumerate_group,
     group_order,
     materialize,
-    pointwise,
 )
 from cycloperm.wreath import (
     AffineMapZ,
@@ -54,6 +53,7 @@ from cycloperm.wreath import (
     cyclotomic_to_wreath,
 )
 from tests_helpers import (
+    pointwise,
     run_equivariance,
     run_homomorphism,
     run_inversion_identity,

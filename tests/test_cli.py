@@ -473,7 +473,7 @@ def test_malformed_inputs_exit_1(capsys):
     # a bijection, but not the inverse
     ("T", r"composition is not the identity at w\^\d+"),
     # not a bijection of F_q^*
-    ("T^2", r"not a bijection: w\^\d+ and w\^\d+ share the image \d+"),
+    ("T^2", r"not a bijection: w\^\d+ and w\^\d+ share the image w\^\d+"),
     # does not fix 0
     ("T + 1", r"P\(0\) != 0"),
     # sends w^0 to 0, like 0 itself
@@ -510,10 +510,11 @@ def test_to_poly_verify_names_first_mismatch(capsys, monkeypatch, wrong,
                                               ("involution", "long-cycle")])
 def test_reps_field_self_check_failure_is_an_error(capsys, monkeypatch, group,
                                                    kind, wrong_kind):
-    # hand the field-level path representatives of the other kind
+    # hand the field-level path representatives of the other kind,
+    # labelled with the asked-for kind
     real = conjugacy.rep_system
-    monkeypatch.setattr(conjugacy, "rep_system",
-                        lambda g, k, d, m: real(g, wrong_kind, d, m))
+    monkeypatch.setattr(cli, "rep_system", lambda g, k, d, m: real(
+        g, wrong_kind, d, m)._replace(kind=k))
     code, out = run(capsys, "reps", "--group", group, "--kind", kind,
                     "--q", "25", "--d", "2", "--format", "structured")
     payload = json.loads(out)
@@ -542,3 +543,20 @@ def test_dlogs_batches_per_query(capsys, monkeypatch, argv, batches):
     code, _ = run(capsys, *argv, "--q", "25", "--d", "2")
     assert code == 0
     assert len(calls) == batches
+
+
+def test_field_reps_verify_builds_one_rep_system(capsys, monkeypatch):
+    # the printed forms and the completeness check share one system
+    real = conjugacy.rep_system
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(conjugacy, "rep_system", counting)
+    monkeypatch.setattr(cli, "rep_system", counting)
+    code, _ = run(capsys, "reps", "--group", "gcp", "--kind", "involution",
+                  "--q", "25", "--d", "2", "--verify")
+    assert code == 0
+    assert calls == [("W", "involution", 2, 12)]

@@ -5,6 +5,7 @@ import pytest
 
 from cycloperm.arith import factorize, units
 from cycloperm.conjugacy import (
+    FIELD_GROUP_TO_WREATH,
     classify_wreath,
     conjugacy_invariant,
     hol_class_id,
@@ -319,7 +320,7 @@ def test_rep_system_check_rejects_broken_systems(fault):
 def test_reps_as_cyclotomic_focp_long_cycle(ctx_cache):
     for q, d in ((25, 2), (9, 2), (16, 3)):
         ctx = ctx_cache(q, d)
-        forms = reps_as_cyclotomic("FOCP", "long-cycle", ctx)
+        forms = reps_as_cyclotomic(rep_system("W1", "long-cycle", d, ctx.m), ctx)
         assert len(forms) == 1
         w = ctx.field.omega
         assert forms[0].a == (w,) * d  # x -> omega * x
@@ -327,7 +328,7 @@ def test_reps_as_cyclotomic_focp_long_cycle(ctx_cache):
 
 
 def test_reps_as_cyclotomic_gcp_long_cycle(ctx25d2):
-    forms = reps_as_cyclotomic("GCP", "long-cycle", ctx25d2)
+    forms = reps_as_cyclotomic(rep_system("W", "long-cycle", 2, 12), ctx25d2)
     assert len(forms) == 1
     w = ctx25d2.field.omega
     # L_1 image: omega * x on both cosets (d - (d-1)*a = 1 for a = 1)
@@ -342,7 +343,8 @@ def test_reps_as_cyclotomic_properties(ctx_cache, group, kind):
     (the conversion itself verifies; here we re-check via the oracle)."""
     for q, d in ((25, 2), (9, 2)):
         ctx = ctx_cache(q, d)
-        forms = reps_as_cyclotomic(group, kind, ctx)
+        forms = reps_as_cyclotomic(rep_system(
+            FIELD_GROUP_TO_WREATH[group], kind, ctx.d, ctx.m), ctx)
         assert forms
         for form in forms:
             perm = materialize(form)
@@ -359,7 +361,7 @@ def test_gcp_long_cycle_closed_form(ctx_cache):
         ctx = ctx_cache(q, d)
         w = ctx.field.omega
         from cycloperm.arith import rad_prime
-        forms = reps_as_cyclotomic("GCP", "long-cycle", ctx)
+        forms = reps_as_cyclotomic(rep_system("W", "long-cycle", d, ctx.m), ctx)
         multipliers = [1 + j * rad_prime(ctx.m)
                        for j in range(ctx.m // rad_prime(ctx.m))]
         assert len(forms) == len(multipliers)
@@ -381,7 +383,7 @@ def test_cp_long_cycle_display_is_alternate_representative(ctx_cache):
     from cycloperm.wreath import cyclotomic_to_wreath
     ctx = ctx_cache(9, 2)  # m = 4: both units a in {1, 3} give classes
     w = ctx.field.omega
-    forms = reps_as_cyclotomic("CP", "long-cycle", ctx)
+    forms = reps_as_cyclotomic(rep_system("Weq", "long-cycle", 2, 4), ctx)
     assert len(forms) == 2
     by_r = {f.r[1]: f for f in forms}
     emitted = by_r[3]
@@ -411,8 +413,9 @@ def test_gcp_involution_display_diagnostic(ctx25d2):
     d, m = ctx.d, ctx.m
     w = ctx.field.omega
 
-    emitted = reps_as_cyclotomic("GCP", "involution", ctx)
-    wreath_reps = rep_system("W", "involution", d, m).reps
+    system = rep_system("W", "involution", d, m)
+    emitted = reps_as_cyclotomic(system, ctx)
+    wreath_reps = system.reps
     assert len(emitted) == len(wreath_reps)
     class_same = class_shifted = 0
     printed_invariants = []

@@ -17,7 +17,7 @@ from cycloperm.forms import (
     is_permutation_form,
     poly_to_cyclotomic,
 )
-from cycloperm.oracle import pointwise
+from tests_helpers import pointwise
 
 DEMO_POLY = "w^15*T^5 + w^23*T^7 + w^3*T^17 + w^23*T^19"
 DEMO_INVERSE = "w^9*T^5 + w^7*T^7 + w^9*T^17 + w^19*T^19"

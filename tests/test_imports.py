@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, none
 defines a private top-level function or class it never uses, none
-but the oracle asks for the full discrete-log table, none but the field
+but the field and the oracle ask for the full discrete-log table or
+the Zech table, none but the field
 takes single discrete logs or builds an FqElem from coefficients, none
 composes cycle indices by general substitution, only eval_cyclotomic
 finds cosets by field powers, and outside the field only
@@ -122,6 +123,25 @@ def test_dlog_calls_detector():
 def test_only_the_oracle_builds_the_full_dlog_table(module):
     # the full table costs q-1 products; printing and dlog use dlogs
     assert calls_of((SRC / module).read_text(), "dlog_table") == 0
+
+
+LOG_TABLES = ("dlog_table", "zech_table")
+
+
+def test_log_table_calls_detector():
+    source = ("def zech_table(cfg):\n    return cfg.dlog_table()\n"
+              "z = cfg.zech_table()\nt = zech_table(cfg)\n"
+              "u = cfg.zech_table\nv = cfg.dlog_table\n")
+    assert [calls_of(source, table) for table in LOG_TABLES] == [1, 2]
+
+
+@pytest.mark.parametrize("table", LOG_TABLES)
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES
+                                    if m not in ("field.py", "oracle.py")])
+def test_only_the_oracle_walk_reads_the_log_tables(module, table):
+    # each table costs q-1 field operations to build; only the oracle's
+    # walk over all of F_q needs every log and every Zech log
+    assert calls_of((SRC / module).read_text(), table) == 0
 
 
 @pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "field.py"])

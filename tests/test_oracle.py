@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from cycloperm.arith import divisors, factorize
 from cycloperm.cycle_index import CycleType, ci_hol
+from cycloperm.field import CyclotomicContext, make_field
 from cycloperm.forms import (
     CyclotomicForm,
     PolyForm,
@@ -16,9 +18,60 @@ from cycloperm.oracle import (
     conjugate_brute,
     enumerate_group,
     group_order,
+    image_logs,
     materialize,
 )
 from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem
+from tests_helpers import pointwise, random_form, random_wreath
+
+PRIME_POWERS_TO_256 = [q for q in range(2, 257) if len(factorize(q)) == 1]
+
+
+def walk_cases(cfg, rng):
+    """Polynomial and cyclotomic forms over cfg for the log walk: every
+    case the Zech fold meets, on permutations and non-permutations."""
+    q, w, one = cfg.q, cfg.omega, cfg.one
+    n = q - 1
+    forms = [PolyForm(cfg, {}), PolyForm(cfg, {1: one}),
+             # a nonzero constant term and a T^(q-1) term
+             PolyForm(cfg, {0: w ** rng.randrange(n), n: one, 1: w})]
+    for d in [d for d in divisors(n) if d * d <= n][:4]:
+        ctx = CyclotomicContext(cfg, d)
+        m = n // d
+        if d > 1 and m + 1 < n:
+            # T and -T^(m+1) cancel on C_0 before the last term: the
+            # running sum restarts there
+            forms.append(PolyForm(cfg, {1: one, m + 1: -one, n: w}))
+        for nonzero in (True, False):  # without zero branches, or with
+            f = random_form(ctx, rng, nonzero=nonzero)
+            P = cyclotomic_to_poly(f)
+            perturbed = dict(P.coeffs)
+            deg = rng.randrange(q)
+            perturbed[deg] = perturbed.get(deg, cfg.zero) + w ** rng.randrange(n)
+            forms += [f, P, PolyForm(cfg, perturbed)]
+    if q > 3:
+        # -T + T^2 cancels at w^0, through Z[0] = -1 for p = 2 and
+        # Z[(q-1)/2] = -1 for odd p; the sum restarts at the last term
+        forms.append(PolyForm(cfg, {1: -one, 2: one, 3: w}))
+        if q % 2:
+            # T + T^((q+1)/2) cancels at every non-square
+            forms.append(PolyForm(cfg, {1: one, (q + 1) // 2: one, n: w}))
+    return forms
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_image_logs_equal_field_arithmetic(q):
+    """The log walk equals PolyForm.eval and eval_cyclotomic (cosets by
+    field powers) at every point, in logs read off the powers of w."""
+    ((p, k),) = factorize(q)
+    cfg = make_field(p, k)
+    rng = random.Random(q)
+    points = [x for x, _ in pointwise(PolyForm(cfg, {}))]
+    log = {x.packed: e for e, x in enumerate(points[1:])}
+    for form in walk_cases(cfg, rng):
+        expected = [None if y.is_zero() else log[y.packed]
+                    for _, y in pointwise(form)]
+        assert image_logs(form) == expected, form
 
 
 def test_materialize_demo_form(ctx25d2):
@@ -53,7 +106,22 @@ def test_materialize_names_real_witnesses(f25):
     assert info.value.witness == ("0", "w^0", "0")
     with pytest.raises(NotBijective) as info:
         materialize(PolyForm.parse(f25, "T^2"))
-    assert info.value.witness == ("w^0", "w^12", 0)
+    assert info.value.witness == ("w^0", "w^12", "w^0")
+
+
+def test_materialize_wreath_follows_apply(ctx_cache):
+    rng = random.Random(5)
+    for q, d in ((25, 2), (49, 6), (16, 5)):
+        ctx = ctx_cache(q, d)
+        m = ctx.m
+        for _ in range(10):
+            g = random_wreath(ctx, rng)
+            expected = [y + m * j for y, j in
+                        (g.apply((idx % m, idx // m)) for idx in range(d * m))]
+            assert list(materialize(g).images) == expected
+            lam = g.maps[0]
+            assert list(materialize(lam).images) == [lam.apply(x)
+                                                     for x in range(m)]
 
 
 def test_inverse_composes_to_identity(ctx_cache):

@@ -8,19 +8,34 @@ import math
 
 from cycloperm.forms import (
     CyclotomicForm,
+    PolyForm,
     cyclotomic_to_poly,
     eval_cyclotomic,
     invert_permutation,
     is_permutation_form,
     poly_to_cyclotomic,
 )
-from cycloperm.oracle import pointwise
 from cycloperm.wreath import (
     AffineMapZ,
     CosetPerm,
     WreathElem,
     wreath_to_cyclotomic,
 )
+
+
+def pointwise(form):
+    """(x, form(x)) for x = 0, omega^0, ..., omega^(q-2), by field
+    arithmetic: PolyForm.eval or eval_cyclotomic at each point, each
+    power one product after the last."""
+    if isinstance(form, PolyForm):
+        cfg, apply = form.cfg, form.eval
+    else:
+        cfg, apply = form.ctx.field, lambda x: eval_cyclotomic(form, x)
+    yield cfg.zero, apply(cfg.zero)
+    x = cfg.one
+    for _ in range(cfg.q - 1):
+        yield x, apply(x)
+        x = x * cfg.omega
 
 
 def random_form(ctx, rng, nonzero=True):
