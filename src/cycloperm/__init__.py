@@ -63,6 +63,6 @@ from .conjugacy import (
     reps_as_cyclotomic,
     wreath_conjugate,
 )
-from .oracle import ExplicitPerm, ci_brute, conjugate_brute, enumerate_group, materialize
+from .oracle import ci_brute, conjugate_brute, enumerate_group, materialize
 
 __version__ = "0.1.0"

@@ -67,13 +67,14 @@ def _add_format_flags(p):
                    help="cross-check the result against brute force")
 
 
-def _add_field_flags(p):
+def _add_field_flags(p, d_required=True):
     p.add_argument("--p", type=int, help="field characteristic")
     p.add_argument("--k", type=int, help="extension degree")
     p.add_argument("--q", type=int, help="field size p^k (alternative to --p/--k)")
     p.add_argument("--modulus", help="comma-separated modulus coefficients c0,...,ck")
     p.add_argument("--omega", help="primitive root override (element syntax)")
-    p.add_argument("--d", type=int, required=True, help="index of the subgroup")
+    p.add_argument("--d", type=int, required=d_required,
+                   help="index of the subgroup")
 
 
 def _prime_power(q: int) -> tuple[int, int]:
@@ -165,9 +166,9 @@ def cmd_invert(args) -> int:
     payload = {"status": "ok", "inverse": str(inverse)}
     if args.verify or args.check:
         # both are bijections fixing 0, so inverse after P = id suffices
-        composed = materialize(P).compose(materialize(inverse))
-        if not composed.is_identity():
-            e = next(e for e, img in enumerate(composed.images) if img != e)
+        fwd, back = materialize(P).images, materialize(inverse).images
+        e = next((e for e, y in enumerate(fwd) if back[y] != e), None)
+        if e is not None:
             raise CommandError(f"composition is not the identity at w^{e}")
         payload["check"] = "identity-ok"
     return _emit(args, payload)
@@ -360,13 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("gcp", "cp", "focp", "w", "w1", "weq"))
     p.add_argument("--kind", required=True,
                    choices=("long-cycle", "involution"))
-    p.add_argument("--d", type=int)
+    _add_field_flags(p, d_required=False)
     p.add_argument("--m", type=int)
-    p.add_argument("--q", type=int)
-    p.add_argument("--p", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--modulus")
-    p.add_argument("--omega")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     _add_format_flags(p)
     p.set_defaults(func=cmd_reps)

@@ -401,7 +401,9 @@ class CyclotomicContext:
     """A field together with a divisor d of q-1 and the subgroup data.
 
     C is the index-d subgroup of F_q^*, of order m = (q-1)/d, with cosets
-    C_i = omega^i C; zeta = omega^m is a primitive d-th root of unity.
+    C_i = omega^i C; zeta = omega^m is a primitive d-th root of unity,
+    and zeta_pows = (zeta^0, ..., zeta^(d-1)) lists the d-th roots of
+    unity once for coset_index and the form conversions.
     """
 
     def __init__(self, field: FqConfig, d: int):
@@ -411,12 +413,12 @@ class CyclotomicContext:
         self.d = d
         self.m = (field.q - 1) // d
         self.zeta = field.omega**self.m
+        pows = [field.one]
+        for _ in range(d - 1):
+            pows.append(pows[-1] * self.zeta)
+        self.zeta_pows = tuple(pows)
         # x^m = zeta^i exactly when x lies in C_i
-        self._coset_of: dict[int, int] = {}
-        z = field.one
-        for i in range(d):
-            self._coset_of[z.packed] = i
-            z = z * self.zeta
+        self._coset_of = {z.packed: i for i, z in enumerate(pows)}
 
     def coset_index(self, x: FqElem) -> int:
         """The unique i with x in C_i, read off x^m = zeta^i: one power,

@@ -263,7 +263,6 @@ def cyclotomic_to_poly(f: CyclotomicForm) -> PolyForm:
     cfg = ctx.field
     d, m = ctx.d, ctx.m
     inv_d = cfg.from_int(d).inverse()
-    zeta_inv_pows = [ctx.zeta ** (-e) for e in range(d)]
     coeffs: dict[int, FqElem] = {}
     for i in range(d):
         if f.a[i].is_zero():
@@ -272,7 +271,7 @@ def cyclotomic_to_poly(f: CyclotomicForm) -> PolyForm:
         for j in range(d):
             deg = j * m + f.r[i]
             coeffs[deg] = (coeffs.get(deg, cfg.zero)
-                           + scaled * zeta_inv_pows[i * j % d])
+                           + scaled * ctx.zeta_pows[-i * j % d])
     return PolyForm(cfg, coeffs)
 
 
@@ -300,7 +299,7 @@ def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
         raise Rejected("too-many-remainders", f"{len(rhos)} > d = {d}")
     # b_l = d * V(1, zeta^-1, ...)^-1 v_l, via the DFT identity: the (i, j)
     # entry of that matrix is zeta^(ij)
-    zeta_pows = [ctx.zeta**e for e in range(d)]
+    zeta_pows = ctx.zeta_pows
     b = []
     for rho in rhos:
         v = [P.coeff(j * m + rho) for j in range(d)]

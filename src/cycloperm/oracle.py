@@ -1,6 +1,7 @@
 """Brute-force ground truth: materialize anything as an explicit
-permutation, enumerate whole groups, and compute cycle types, cycle
-indices and conjugacy straight from the definitions.
+permutation (a ``wreath.CosetPerm`` of its labelled points, whose
+constructor checks the bijection), enumerate whole groups, and compute
+cycle types, cycle indices and conjugacy straight from the definitions.
 
 Cyclotomic/polynomial forms act on F_q^*, labeled by the discrete-log
 index of omega (index e <-> omega^e); wreath elements act on
@@ -36,47 +37,6 @@ from .forms import CyclotomicForm, PolyForm
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
 
-class ExplicitPerm:
-    """A bijection on {0, ..., n-1} as a dense image array."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        self.images = tuple(images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    def cycle_type(self) -> CycleType:
-        counts: dict[int, int] = {}
-        seen = [False] * self.n
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            length = 0
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j]
-                length += 1
-            counts[length] = counts.get(length, 0) + 1
-        return CycleType(counts)
-
-    def compose(self, other: "ExplicitPerm") -> "ExplicitPerm":
-        """self then other."""
-        return ExplicitPerm(other.images[i] for i in self.images)
-
-    def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
-
-    def __eq__(self, other):
-        return isinstance(other, ExplicitPerm) and other.images == self.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-
 class NotBijective(ValueError):
     """Materialization found a collision; carries a witness pair."""
 
@@ -86,17 +46,23 @@ class NotBijective(ValueError):
                          f"share the image {witness[2]}")
 
 
-def _check_bijection(images, labels):
-    """images, a list over {0, ..., n-1} with values in that range,
-    after checking it is a bijection; else NotBijective names the first
+def _as_perm(images, labels) -> CosetPerm:
+    """CosetPerm(images) for a list over {0, ..., n-1} with values in
+    that range, or None for a point a form sends to 0.  When it is no
+    bijection, NotBijective names a point sent to 0, else the first
     collision: its two points and their image, each through labels."""
-    if len(set(images)) < len(images):
+    try:
+        return CosetPerm(images)
+    except ValueError:
+        if None in images:
+            raise NotBijective(("0", labels(images.index(None)), "0")) from None
         hit: dict[int, int] = {}
         for src, img in enumerate(images):
             if img in hit:
-                raise NotBijective((labels(hit[img]), labels(src), labels(img)))
+                raise NotBijective((labels(hit[img]), labels(src),
+                                    labels(img))) from None
             hit[img] = src
-    return images
+        raise
 
 
 def _affine_images(g: AffineMapZ, offset: int = 0) -> list[int]:
@@ -147,28 +113,25 @@ def image_logs(form) -> list:
     return images
 
 
-def materialize(obj) -> ExplicitPerm:
+def materialize(obj) -> CosetPerm:
     """Explicit permutation of a cyclotomic form, a polynomial form
     (both on F_q^*, discrete-log labeling) or a wreath element (on
     (Z/mZ) x {0..d-1}, pair labeling x + m*i).  Raises NotBijective
     with two colliding points and their image (0 among them when a form
     sends w^e to 0), and ValueError when a form does not fix 0."""
     if isinstance(obj, AffineMapZ):
-        return ExplicitPerm(_check_bijection(_affine_images(obj), lambda x: x))
+        return _as_perm(_affine_images(obj), lambda x: x)
     if isinstance(obj, WreathElem):
         m = obj.m
         images = []
         for j in obj.psi.images:  # coset i goes to coset j = psi(i)
             images += _affine_images(obj.maps[j], m * j)
-        return ExplicitPerm(_check_bijection(
-            images, lambda idx: (idx % m, idx // m)))
+        return _as_perm(images, lambda idx: (idx % m, idx // m))
     if isinstance(obj, (CyclotomicForm, PolyForm)):
         at_zero, *images = image_logs(obj)
         if at_zero is not None:
             raise ValueError("the map does not fix 0: P(0) != 0")
-        if None in images:
-            raise NotBijective(("0", f"w^{images.index(None)}", "0"))
-        return ExplicitPerm(_check_bijection(images, lambda e: f"w^{e}"))
+        return _as_perm(images, lambda e: f"w^{e}")
     raise TypeError(f"cannot materialize {type(obj).__name__}")
 
 

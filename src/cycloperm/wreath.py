@@ -1,6 +1,11 @@
 """Affine permutation groups of Z/mZ, their imprimitive wreath products
 with Sym(d), and exact cycle types.
 
+CosetPerm, a permutation of {0..n-1}, is the package's one permutation
+class: psi on the coset labels here, and every explicit permutation
+that oracle.materialize builds.  Its constructor is the one check that
+an image list is a bijection.
+
 Conventions (used consistently everywhere):
 
 * products are in right-action order: g*h means apply g first, then h;
@@ -41,30 +46,41 @@ from .field import CyclotomicContext
 
 
 class CosetPerm:
-    """Permutation of the coset labels {0, ..., d-1}."""
+    """A permutation of {0, ..., n-1} as a dense image tuple, checked
+    to be one in O(n) on construction."""
 
     __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"{images} is not a permutation of 0..{len(images) - 1}")
+        # n images are a bijection exactly when they cover 0..n-1.  The
+        # message leaves them out: materialize's lists run to 2^20 points.
+        if not set(images).issuperset(range(len(images))):
+            raise ValueError(f"the images are not a permutation of 0..{len(images) - 1}")
         self.images = images
 
     @classmethod
-    def identity(cls, d: int) -> "CosetPerm":
-        return cls(range(d))
+    def identity(cls, n: int) -> "CosetPerm":
+        return cls(range(n))
 
     @classmethod
-    def from_cycles(cls, d: int, cycles) -> "CosetPerm":
-        images = list(range(d))
+    def from_cycles(cls, n: int, cycles) -> "CosetPerm":
+        """Disjoint cycles over {0..n-1}; ValueError names a label that
+        is out of range or repeats."""
+        images = list(range(n))
+        seen = set()
         for cycle in cycles:
             for pos, i in enumerate(cycle):
+                if not 0 <= i < n:
+                    raise ValueError(f"cycle label {i} is outside 0..{n - 1}")
+                if i in seen:
+                    raise ValueError(f"cycle label {i} repeats")
+                seen.add(i)
                 images[i] = cycle[(pos + 1) % len(cycle)]
         return cls(images)
 
     @property
-    def d(self) -> int:
+    def n(self) -> int:
         return len(self.images)
 
     def __call__(self, i: int) -> int:
@@ -75,16 +91,16 @@ class CosetPerm:
         return CosetPerm(other.images[i] for i in self.images)
 
     def inverse(self) -> "CosetPerm":
-        out = [0] * self.d
+        out = [0] * self.n
         for i, img in enumerate(self.images):
             out[img] = i
         return CosetPerm(out)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Disjoint cycles, min element first, sorted by that element."""
-        seen = [False] * self.d
+        seen = [False] * self.n
         out = []
-        for start in range(self.d):
+        for start in range(self.n):
             if seen[start]:
                 continue
             cycle = [start]
@@ -98,7 +114,20 @@ class CosetPerm:
         return out
 
     def cycle_type(self) -> CycleType:
-        return CycleType([(len(c), 1) for c in self.cycles()])
+        counts: dict[int, int] = {}
+        images = self.images
+        seen = [False] * len(images)
+        for start in range(len(images)):
+            if seen[start]:
+                continue
+            length = 0
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = images[j]
+                length += 1
+            counts[length] = counts.get(length, 0) + 1
+        return CycleType(counts)
 
     def is_identity(self) -> bool:
         return all(i == img for i, img in enumerate(self.images))
@@ -122,16 +151,14 @@ class CosetPerm:
         return f"CosetPerm({str(self)})"
 
     @classmethod
-    def parse(cls, d: int, text: str) -> "CosetPerm":
+    def parse(cls, n: int, text: str) -> "CosetPerm":
         text = text.strip()
         if text == "id":
-            return cls.identity(d)
-        cycles = []
-        for m in re.finditer(r"\(([^()]*)\)", text):
-            cycles.append([int(s) for s in m.group(1).split(",")])
-        if not cycles:
+            return cls.identity(n)
+        if not re.fullmatch(r"(\s*\([^()]*\))+", text):
             raise ValueError(f"cannot parse permutation {text!r}")
-        return cls.from_cycles(d, cycles)
+        return cls.from_cycles(n, [[int(s) for s in body.split(",")]
+                                   for body in re.findall(r"\(([^()]*)\)", text)])
 
 
 class AffineMapZ:
@@ -208,8 +235,8 @@ class WreathElem:
         maps = tuple(maps)
         if not maps:
             raise ValueError("need at least one component map")
-        if len(maps) != psi.d:
-            raise ValueError(f"need {psi.d} component maps, got {len(maps)}")
+        if len(maps) != psi.n:
+            raise ValueError(f"need {psi.n} component maps, got {len(maps)}")
         if len({g.m for g in maps}) > 1:
             raise ValueError("component maps have mixed moduli")
         self.psi = psi
@@ -221,7 +248,7 @@ class WreathElem:
 
     @property
     def d(self) -> int:
-        return self.psi.d
+        return self.psi.n
 
     @property
     def m(self) -> int:
@@ -393,8 +420,9 @@ def cyclotomic_to_wreath(f) -> WreathElem:
     exps = [log + r * j
             for j, (log, r) in enumerate(zip(ctx.field.dlogs(f.a), f.r))]
     images = [e % d for e in exps]
-    if sorted(images) != list(range(d)):
-        raise Rejected("psi-not-bijective", f"images {images}")
-    psi = CosetPerm(images)
+    try:
+        psi = CosetPerm(images)
+    except ValueError:
+        raise Rejected("psi-not-bijective", f"images {images}") from None
     return WreathElem(psi, [AffineMapZ(m, f.r[j], exps[j] // d)
                             for j in psi.inverse().images])

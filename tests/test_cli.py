@@ -394,6 +394,19 @@ def test_conjugate_refuses_different_shapes(capsys, group, other, shape):
     assert out == f"status: error\nmessage: shapes differ: (2, 12) vs {shape}\n"
 
 
+@pytest.mark.parametrize("psi, message", [
+    ("(0,5)", "cycle label 5 is outside 0..1"),
+    ("(0,1)(1,0)", "cycle label 1 repeats"),
+    ("(0,1)junk", "cannot parse permutation '(0,1)junk'"),
+])
+def test_conjugate_malformed_cycles_is_an_error(capsys, psi, message):
+    code, out = run(capsys, "conjugate", "--group", "w",
+                    f"({psi}; lam(1,0)@3, lam(1,0)@3)",
+                    "(id; lam(1,0)@3, lam(1,0)@3)")
+    assert code == 1
+    assert out == f"status: error\nmessage: {message}\n"
+
+
 def test_error_exit_code(capsys):
     code, out = run(capsys, "analyze", "--q", "24", "--d", "2", "--poly", "T")
     assert code == 1

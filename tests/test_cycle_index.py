@@ -26,8 +26,8 @@ from cycloperm.cycle_index import (
     signature_pow,
     signatures_pp,
 )
-from cycloperm.oracle import ExplicitPerm, ci_brute, enumerate_group, group_order
-from cycloperm.wreath import AffineMapZ
+from cycloperm.oracle import ci_brute, enumerate_group, group_order
+from cycloperm.wreath import AffineMapZ, CosetPerm
 
 
 def ci_from(spec):
@@ -81,7 +81,7 @@ def test_ci_sym_is_average_of_cycle_types():
     for d in range(1, 7):
         tally = Counter()
         for images in itertools.permutations(range(d)):
-            tally[ExplicitPerm(images).cycle_type()] += 1
+            tally[CosetPerm(images).cycle_type()] += 1
         brute = CycleIndex({ct: Fraction(n, math.factorial(d))
                             for ct, n in tally.items()})
         assert ci_sym(d) == brute
@@ -184,9 +184,9 @@ def test_star_cycle_type_level_sym3_x_sym4():
     for pi in itertools.permutations(range(3)):
         for sigma in itertools.permutations(range(4)):
             images = [sigma[(k // 3)] * 3 + pi[k % 3] for k in range(12)]
-            ct = ExplicitPerm(images).cycle_type()
-            starred = CycleType(list(ExplicitPerm(pi).cycle_type().counts)) \
-                .star(ExplicitPerm(sigma).cycle_type())
+            ct = CosetPerm(images).cycle_type()
+            starred = CycleType(list(CosetPerm(pi).cycle_type().counts)) \
+                .star(CosetPerm(sigma).cycle_type())
             assert ct == starred
             total = total + CycleIndex.of(ct, Fraction(1, 144))
             count += 1

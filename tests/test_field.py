@@ -323,6 +323,7 @@ def test_zeta_matches_power(ctx_cache):
         ctx = ctx_cache(q, d)
         assert ctx.zeta == ctx.field.omega ** ((q - 1) // d)
         assert ctx.zeta**d == ctx.field.one
+        assert ctx.zeta_pows == tuple(ctx.zeta**e for e in range(d))
 
 
 def test_context_rejects_bad_divisor(f25):

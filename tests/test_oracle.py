@@ -12,7 +12,6 @@ from cycloperm.forms import (
     invert_permutation,
 )
 from cycloperm.oracle import (
-    ExplicitPerm,
     NotBijective,
     ci_brute,
     conjugate_brute,
@@ -21,7 +20,7 @@ from cycloperm.oracle import (
     image_logs,
     materialize,
 )
-from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem
+from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem, wreath_to_cyclotomic
 from tests_helpers import pointwise, random_form, random_wreath
 
 PRIME_POWERS_TO_256 = [q for q in range(2, 257) if len(factorize(q)) == 1]
@@ -84,6 +83,19 @@ def test_materialize_demo_form(ctx25d2):
     assert materialize(cyclotomic_to_poly(form)).images == perm.images
 
 
+def test_materialize_returns_coset_perms(ctx_cache):
+    rng = random.Random(19)
+    for q, d in ((25, 2), (49, 6), (16, 5)):
+        ctx = ctx_cache(q, d)
+        g = random_wreath(ctx, rng)
+        for obj, n in ((g, d * ctx.m),
+                       (wreath_to_cyclotomic(g, ctx), q - 1),
+                       (cyclotomic_to_poly(wreath_to_cyclotomic(g, ctx)), q - 1)):
+            perm = materialize(obj)
+            assert type(perm) is CosetPerm
+            assert perm.n == n
+
+
 def test_materialize_identity(ctx25d2):
     perm = materialize(CyclotomicForm.identity(ctx25d2))
     assert perm.is_identity()
@@ -138,7 +150,7 @@ def test_inverse_composes_to_identity(ctx_cache):
 
 
 def test_cycle_type_of_examples():
-    assert ExplicitPerm(range(7)).cycle_type() == CycleType([(1, 7)])
+    assert CosetPerm(range(7)).cycle_type() == CycleType([(1, 7)])
     lam = AffineMapZ(12, 11, 9)
     assert materialize(lam).cycle_type() == CycleType([(2, 6)])
 
@@ -188,7 +200,6 @@ def test_equivariance_at_array_level(ctx25d2):
     """Materializing iota(g) equals transporting the wreath action through
     the pairing (b, i) <-> omega^(d*b + i), as arrays; the reference finds
     (b, i) by coset_index and dlog, not by the conversion's arithmetic."""
-    from cycloperm.wreath import wreath_to_cyclotomic
     from cycloperm.field import dlog
     rng = random.Random(1)
     ctx = ctx25d2

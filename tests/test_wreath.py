@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -354,8 +356,50 @@ def test_coset_perm_basics():
     # right action: apply sigma, then psi... different d, use d = 4
     tau = CosetPerm((1, 2, 0, 3))
     assert tau.compose(psi)(0) == psi(tau(0))
-    with pytest.raises(ValueError):
-        CosetPerm((0, 0, 1))
+    for images in ((0, 0, 1), (0, 2), (-1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="are not a permutation of 0"):
+            CosetPerm(images)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(0,5)", "label 5 is outside 0..1"),
+    ("(-1,0)", "label -1 is outside 0..1"),
+    ("(0,1)(1,0)", "label 1 repeats"),
+    ("(0,0)", "label 0 repeats"),
+    ("(0,1)junk", "cannot parse"),
+    ("x(0,1)", "cannot parse"),
+    ("(0,1)(", "cannot parse"),
+    ("", "cannot parse"),
+    ("(0,a)", "invalid literal"),
+])
+def test_coset_perm_parse_rejects_malformed_cycles(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        CosetPerm.parse(2, text)
+
+
+def test_coset_perm_parse_keeps_spacing_between_cycles():
+    assert CosetPerm.parse(4, " (0, 1) (2,3) ").images == (1, 0, 3, 2)
+
+
+def test_coset_perm_from_cycles_checks_labels():
+    assert CosetPerm.from_cycles(3, [(2,)]).is_identity()
+    with pytest.raises(ValueError, match="outside 0..2"):
+        CosetPerm.from_cycles(3, [(0, 3)])
+    with pytest.raises(ValueError, match="repeats"):
+        CosetPerm.from_cycles(3, [(0, 1), (2, 0)])
+
+
+def test_coset_perm_cycle_type_matches_cycles():
+    rng = random.Random(19)
+    perms = [CosetPerm.identity(0), CosetPerm.identity(1),
+             CosetPerm.identity(50)]
+    for n in (2, 3, 7, 24, 100, 2000):
+        perms += [CosetPerm(rng.sample(range(n), n)) for _ in range(5)]
+    for psi in perms:
+        from_cycles = Counter(len(c) for c in psi.cycles())
+        assert psi.cycle_type() == CycleType(dict(from_cycles))
+    assert CosetPerm.identity(1).cycle_type() == CycleType([(1, 1)])
+    assert CosetPerm.identity(50).cycle_type() == CycleType([(1, 50)])
 
 
 def test_wreath_parse_round_trip():
