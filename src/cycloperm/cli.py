@@ -4,7 +4,9 @@ Subcommands: analyze, invert, to-poly, cycle-index, reps, conjugate.
 Every command takes --format text|structured (structured = one JSON
 object on stdout) and --verify for an oracle cross-check where that
 makes sense.  Exit codes: 0 ok, 2 input rejected by the conversion
-procedure (with the reason code), 1 error.
+procedure (with the reason code), 1 error.  `main` builds only the
+parser of the command named by its first argument; `build_parser()`
+with no argument builds all six.
 """
 
 from __future__ import annotations
@@ -316,36 +318,24 @@ def _wreath_mismatch(inv_g, inv_h, mode):
     return "cycle-product-classes"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cycloperm",
-        description="index-d cyclotomic permutations of F_q: forms, "
-                    "cycle indices, conjugacy, inversion")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="polynomial -> cyclotomic/wreath forms "
-                                       "and cycle type")
+def _add_poly_flags(p):
     _add_field_flags(p)
     p.add_argument("--poly", required=True)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("invert", help="polynomial form of the inverse permutation")
-    _add_field_flags(p)
-    p.add_argument("--poly", required=True)
+
+def _add_invert_flags(p):
+    _add_poly_flags(p)
     p.add_argument("--check", action="store_true",
                    help="compose with the input and assert identity")
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("to-poly", help="cyclotomic form -> polynomial form")
+
+def _add_to_poly_flags(p):
     _add_field_flags(p)
     p.add_argument("--form", required=True,
                    help="cyclotomic form f(a=[...], r=[...])")
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_to_poly)
 
-    p = sub.add_parser("cycle-index", help="exact cycle index of a group")
+
+def _add_cycle_index_flags(p):
     p.add_argument("--group", required=True,
                    choices=("gcp", "cp", "focp", "hol", "sym", "reg",
                             "wreath-brute"))
@@ -353,10 +343,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int)
     p.add_argument("--q", type=int)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_cycle_index)
 
-    p = sub.add_parser("reps", help="conjugacy class representatives")
+
+def _add_reps_flags(p):
     p.add_argument("--group", required=True,
                    choices=("gcp", "cp", "focp", "w", "w1", "weq"))
     p.add_argument("--kind", required=True,
@@ -364,20 +353,56 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p, d_required=False)
     p.add_argument("--m", type=int)
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_reps)
 
-    p = sub.add_parser("conjugate", help="decide conjugacy of two elements")
+
+def _add_conjugate_flags(p):
     p.add_argument("--group", required=True, choices=("hol", "w", "weq"))
     p.add_argument("elements", nargs=2,
                    help="two elements in affine/wreath syntax")
-    _add_format_flags(p)
-    p.set_defaults(func=cmd_conjugate)
+
+
+# name -> (help, flag adder, handler); every command also takes the
+# format flags
+COMMANDS = {
+    "analyze": ("polynomial -> cyclotomic/wreath forms and cycle type",
+                _add_poly_flags, cmd_analyze),
+    "invert": ("polynomial form of the inverse permutation",
+               _add_invert_flags, cmd_invert),
+    "to-poly": ("cyclotomic form -> polynomial form",
+                _add_to_poly_flags, cmd_to_poly),
+    "cycle-index": ("exact cycle index of a group",
+                    _add_cycle_index_flags, cmd_cycle_index),
+    "reps": ("conjugacy class representatives", _add_reps_flags, cmd_reps),
+    "conjugate": ("decide conjugacy of two elements",
+                  _add_conjugate_flags, cmd_conjugate),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of all six commands, or of `command` alone; the
+    top-level usage line names all six either way."""
+    parser = argparse.ArgumentParser(
+        prog="cycloperm",
+        description="index-d cyclotomic permutations of F_q: forms, "
+                    "cycle indices, conjugacy, inversion")
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else (command,):
+        help_text, add_flags, func = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        _add_format_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a command named first needs only its own parser; anything else
+    # (help, a usage error) gets the full one
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -276,17 +276,17 @@ class FqConfig:
             return self.zero
         if text == "w":
             return self.omega
-        if text.startswith("w^"):
-            return self.omega ** int(text[2:])
-        if text.startswith("[") and text.endswith("]"):
-            coeffs = [int(c) for c in text[1:-1].split(",")] if text[1:-1].strip() else []
-            if len(coeffs) != self.k:
-                raise ValueError(f"need {self.k} coefficients in {text!r}")
-            return FqElem(self, coeffs)
         try:
-            return self.from_int(int(text))
+            if text.startswith("w^"):
+                return self.omega ** int(text[2:])
+            if not (text.startswith("[") and text.endswith("]")):
+                return self.from_int(int(text))
+            coeffs = [int(c) for c in text[1:-1].split(",")] if text[1:-1].strip() else []
         except ValueError:
             raise ValueError(f"cannot parse field element {text!r}") from None
+        if len(coeffs) != self.k:
+            raise ValueError(f"need {self.k} coefficients in {text!r}")
+        return FqElem(self, coeffs)
 
     def __repr__(self):
         return f"FqConfig(p={self.p}, k={self.k}, modulus={list(self.modulus)})"

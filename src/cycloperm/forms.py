@@ -159,10 +159,13 @@ class PolyForm:
                 head = head.strip().rstrip("*").strip()
                 coef = cfg.parse_elem(head) if head else cfg.one
                 tail = tail.strip()
-                if tail.startswith("^"):
-                    deg = int(tail[1:])
-                elif tail == "":
+                if tail == "":
                     deg = 1
+                elif tail.startswith("^"):
+                    try:
+                        deg = int(tail[1:])
+                    except ValueError:
+                        raise ValueError(f"cannot parse term {raw!r}") from None
                 else:
                     raise ValueError(f"cannot parse term {raw!r}")
             else:
@@ -218,7 +221,10 @@ class CyclotomicForm:
         if not m:
             raise ValueError(f"cannot parse cyclotomic form {text!r}")
         a = [ctx.field.parse_elem(s) for s in m.group(1).split(",")]
-        r = [int(s) for s in m.group(2).split(",")]
+        try:
+            r = [int(s) for s in m.group(2).split(",")]
+        except ValueError:
+            raise ValueError(f"cannot parse cyclotomic form {text!r}") from None
         return cls(ctx, a, r)
 
 

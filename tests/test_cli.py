@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 
@@ -573,3 +574,115 @@ def test_field_reps_verify_builds_one_rep_system(capsys, monkeypatch):
                   "--q", "25", "--d", "2", "--verify")
     assert code == 0
     assert calls == [("W", "involution", 2, 12)]
+
+
+def _reference_main(argv):
+    """main as it dispatched when it always built the full parser."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except forms.Rejected as exc:
+        return cli._emit(args, {"status": "rejected", "reason": exc.code})
+    except (cli.CommandError, ValueError) as exc:
+        cli._emit(args, {"status": "error", "message": str(exc)})
+        return 1
+
+
+def _outcome(capsys, entry, argv):
+    """(stdout, stderr, exit code) of entry(argv); a SystemExit counts
+    by its code."""
+    try:
+        code = entry(list(argv))
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    out, err = capsys.readouterr()
+    return out, err, code
+
+
+COMMANDS = ("analyze", "invert", "to-poly", "cycle-index", "reps",
+            "conjugate")
+
+PARSER_SWEEP = [
+    [], ["-h"], ["--help"], ["-h", "analyze"], ["--bogus", "analyze"],
+    ["--", "analyze", "--q", "25", "--d", "2", "--poly", "T"],
+    ["bogus"], ["analyz"], ["--format", "json"],
+    ["analyze"],
+    ["analyze", "--q", "25", "--d", "2", "--poly", "T", "--bogus"],
+    ["analyze", "--q", "25", "--d", "2", "--poly", DEMO_POLY],
+    ["analyze", "--q", "25", "--d", "2", "--poly", "T", "--format", "json"],
+    ["invert", "--q", "25", "--d", "2", "--poly", DEMO_POLY, "--check"],
+    ["invert", "--q", "25", "--poly", "T"],
+    ["to-poly", "--q", "25", "--d", "2", "--form", "f(a=[w^5,w^21], r=[7,5])",
+     "--format", "structured"],
+    ["cycle-index", "--group", "hol", "--m", "12"],
+    ["cycle-index", "--group", "hol", "--m", "twelve"],
+    ["reps", "--group", "w", "--kind", "long-cycle", "--d", "2", "--m", "4"],
+    ["reps", "--group", "w"],
+    ["conjugate", "--group", "hol", "lam(1,0)@3"],
+    ["conjugate", "--group", "x", "a", "b"],
+    ["conjugate", "--group", "hol", "lam(1,0)@3", "lam(2,0)@3"],
+    ["conjugate", "--group", "hol", "lam(1,0)@3", "lam(2,0)@3", "extra"],
+] + [[command, "-h"] for command in COMMANDS]
+
+
+@pytest.mark.parametrize("columns", ["50", "120"])
+@pytest.mark.parametrize("argv", PARSER_SWEEP, ids=" ".join)
+def test_main_matches_the_full_parser(capsys, monkeypatch, columns, argv):
+    # help, usage errors and results read as they do through the full
+    # six-command parser, at two terminal widths
+    monkeypatch.setenv("COLUMNS", columns)
+    assert _outcome(capsys, main, argv) \
+        == _outcome(capsys, _reference_main, argv)
+
+
+def _subparsers(parser):
+    """name -> parser of the commands `parser` was built with."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def _action_fields(parser):
+    return [(a.option_strings, a.dest, a.required, a.choices, a.default,
+             a.type, a.nargs, a.help) for a in parser._actions]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_one_command_parser_matches_the_full_one(command):
+    (alone,) = _subparsers(cli.build_parser(command)).values()
+    assert _action_fields(alone) \
+        == _action_fields(_subparsers(cli.build_parser())[command])
+
+
+def test_main_builds_only_the_named_command(capsys, monkeypatch):
+    real = cli.build_parser
+    built = []
+
+    def spy(*args):
+        parser = real(*args)
+        built.append(parser)
+        return parser
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    code, out = run(capsys, "conjugate", "--group", "hol",
+                    "lam(1,0)@3", "lam(1,0)@3")
+    assert code == 0
+    assert out == "status: ok\nconjugate: true\n"
+    (parser,) = built
+    assert set(_subparsers(parser)) == {"conjugate"}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--poly", "T^"], "cannot parse term 'T^'"),
+    (["invert", "--poly", "T^1.5"], "cannot parse term 'T^1.5'"),
+    (["invert", "--poly", "w^*T"], "cannot parse field element 'w^'"),
+    (["invert", "--poly", "w^x*T"], "cannot parse field element 'w^x'"),
+    (["to-poly", "--form", "f(a=[w^0,w^1],r=[x,1])"],
+     "cannot parse cyclotomic form 'f(a=[w^0,w^1],r=[x,1])'"),
+    (["to-poly", "--form", "f(a=[w^0, w^],r=[1,1])"],
+     "cannot parse field element 'w^'"),
+])
+def test_parse_errors_name_the_input(capsys, argv, message):
+    code, out = run(capsys, *argv, "--q", "25", "--d", "2")
+    assert code == 1
+    assert out == f"status: error\nmessage: {message}\n"
