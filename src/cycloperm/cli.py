@@ -45,9 +45,7 @@ from .forms import (
 from .oracle import (
     DEFAULT_CAP,
     check_rep_system,
-    ci_brute,
-    enumerate_group,
-    group_order,
+    ci_brute_group,
     image_logs,
     materialize,
 )
@@ -215,8 +213,7 @@ def _reconcile_dm(args):
 
 def cmd_cycle_index(args) -> int:
     def brute():
-        return ci_brute(enumerate_group(*brute_group, args.cap),
-                        group_order(*brute_group))
+        return ci_brute_group(*brute_group, args.cap)
 
     group = args.group
     if group == "sym":

@@ -235,7 +235,7 @@ class CycleIndex:
         out = cls()
         for chunk in text.split("+"):
             coeff, _, mono = chunk.strip().partition("*")
-            m = re.fullmatch(r"(-?\d+)/(\d+)", coeff)
+            m = re.fullmatch(r"(-?\d+)/(0*[1-9]\d*)", coeff)  # D != 0
             if not m:
                 raise ValueError(f"bad coefficient in {chunk!r}")
             out._add_term(CycleType.parse(mono or "1"),

@@ -122,7 +122,8 @@ class PolyForm:
 
     @staticmethod
     def _split_terms(text: str) -> list[str]:
-        """Split on top-level + and unary -, leaving brackets intact."""
+        """Split on top-level + and unary -, leaving brackets intact; a -
+        after ^ signs an exponent, as in w^-1, and stays in the term."""
         out = []
         buf = ""
         depth = 0
@@ -134,7 +135,8 @@ class PolyForm:
             if depth == 0 and ch == "+":
                 out.append(buf)
                 buf = ""
-            elif depth == 0 and ch == "-" and buf.strip():
+            elif (depth == 0 and ch == "-" and buf.strip()
+                  and not buf.rstrip().endswith("^")):
                 out.append(buf)
                 buf = ch
             else:
@@ -161,11 +163,8 @@ class PolyForm:
                 tail = tail.strip()
                 if tail == "":
                     deg = 1
-                elif tail.startswith("^"):
-                    try:
-                        deg = int(tail[1:])
-                    except ValueError:
-                        raise ValueError(f"cannot parse term {raw!r}") from None
+                elif tail.startswith("^") and tail[1:].strip().isdecimal():
+                    deg = int(tail[1:])
                 else:
                     raise ValueError(f"cannot parse term {raw!r}")
             else:

@@ -13,9 +13,20 @@ and ``zech_table``), so it needs no field operation per point.
 ``forms.PolyForm.eval`` and ``forms.eval_cyclotomic`` remain the field
 arithmetic definitions that the tests compare this walk against.  A
 wreath element is walked one coset at a time, by the definition
-(x, i) -> (g_j(x), j) with j = psi(i).  Enumeration sizes are guarded
-by an explicit cap (default 10^7): exceeding it raises instead of
-silently truncating.
+(x, i) -> (g_j(x), j) with j = psi(i).
+
+A whole group is walked once per top permutation psi in Sym(d) and map
+pool: all of Hol for W, the translations for W1, one pool per common
+multiplier for W=, and Hol(Z/mZ) as W(1, m).  ``enumerate_group``
+builds each element from the pools.  ``ci_brute_group`` builds none:
+it lists each pool map's block of images on each coset once, joins the
+d blocks an element's psi picks, and tallies the cycle type of each
+joined list, checked to be a bijection.  ``check_rep_system`` tests
+the part of its predicate that reads psi once per psi and the rest
+against per-pool tables of inverses and involutions, and builds only
+the elements of the kind.  Enumeration sizes are guarded by an explicit
+cap (default 10^7): exceeding it raises before any element is visited,
+instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from .conjugacy import (
     is_involution_elem,
     is_long_cycle,
 )
-from .cycle_index import DEFAULT_CAP, CycleIndex, CycleType
+from .cycle_index import DEFAULT_CAP, CycleIndex
 from .forms import CyclotomicForm, PolyForm
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
@@ -137,39 +148,45 @@ def materialize(obj) -> CosetPerm:
 
 def group_order(group: str, d: int, m: int) -> int:
     hol = phi(m) * m
-    return {
+    orders = {
         "Hol": hol,
         "W": math.factorial(d) * hol**d,
         "W1": math.factorial(d) * m**d,
         "Weq": math.factorial(d) * phi(m) * m**d,
-    }[group]
+    }
+    if group not in orders:
+        raise ValueError(f"unknown group {group!r}")
+    return orders[group]
 
 
-def enumerate_hol(m: int, cap: int = DEFAULT_CAP):
-    """All of Hol(Z/mZ), each element exactly once."""
-    if group_order("Hol", 1, m) > cap:
-        raise ValueError(f"|Hol(Z/{m}Z)| exceeds the cap {cap}")
-    for a in units(m):
-        for b in range(m):
-            yield AffineMapZ(m, a, b)
+def _pools(group: str, d: int, m: int, cap: int) -> list[list[int]]:
+    """The map pools of Hol(Z/mZ) or a wreath group, once the name and
+    the cap are checked, each as its multipliers: the pool of A is every
+    lam(a, b) with a in A.  A wreath group's elements are, per top
+    permutation psi, all d-tuples from one pool; Hol is its one pool."""
+    if group_order(group, d, m) > cap:
+        name = f"Hol(Z/{m}Z)" if group == "Hol" else f"{group}({d},{m})"
+        raise ValueError(f"|{name}| exceeds the cap {cap}")
+    if group == "W1":
+        return [[1]]
+    if group == "Weq":  # one pool per common multiplier
+        return [[a] for a in units(m)]
+    return [units(m)]
+
+
+def _pool_maps(m: int, multipliers):
+    """Stream the pool lam(a, b), a in multipliers, b in Z/mZ."""
+    return (AffineMapZ(m, a, b) for a in multipliers for b in range(m))
 
 
 def enumerate_group(group: str, d: int, m: int, cap: int = DEFAULT_CAP):
     """Stream Hol(Z/mZ), W(d,m), W1(d,m) or Weq(d,m), each element
     exactly once: per psi, all component tuples from each map pool."""
+    pools = _pools(group, d, m, cap)
     if group == "Hol":
-        yield from enumerate_hol(m, cap)
+        yield from _pool_maps(m, pools[0])
         return
-    if group not in ("W", "W1", "Weq"):
-        raise ValueError(f"unknown group {group!r}")
-    if group_order(group, d, m) > cap:
-        raise ValueError(f"|{group}({d},{m})| exceeds the cap {cap}")
-    if group == "W":
-        pools = [[AffineMapZ(m, a, b) for a in units(m) for b in range(m)]]
-    elif group == "W1":
-        pools = [[AffineMapZ(m, 1, b) for b in range(m)]]
-    else:  # one pool per common multiplier
-        pools = [[AffineMapZ(m, a, b) for b in range(m)] for a in units(m)]
+    pools = [list(_pool_maps(m, multipliers)) for multipliers in pools]
     for images in itertools.permutations(range(d)):
         psi = CosetPerm(images)
         for pool in pools:
@@ -177,20 +194,50 @@ def enumerate_group(group: str, d: int, m: int, cap: int = DEFAULT_CAP):
                 yield WreathElem(psi, maps)
 
 
-def ci_brute(elements, size: int | None = None) -> CycleIndex:
-    """Cycle index of a set of group elements, by materializing each one.
+def _group_perms(group: str, d: int, m: int, cap: int):
+    """materialize(g) for every g in enumerate_group(group, d, m, cap),
+    in another order, without building g: each pool map's block of
+    images m*j + g(x) on coset j is listed once, and an element joins
+    the d blocks its psi picks.  With one coset no block is used twice,
+    so each is listed as it is needed."""
+    pools = _pools(group, d, m, cap)
+    if group == "Hol" or d == 1:
+        for multipliers in pools:
+            for g in _pool_maps(m, multipliers):
+                yield CosetPerm(_affine_images(g))
+        return
+    for multipliers in pools:
+        pool = list(_pool_maps(m, multipliers))
+        blocks = [[_affine_images(g, m * j) for g in pool] for j in range(d)]
+        for psi in itertools.permutations(range(d)):
+            # coset i goes to coset j = psi(i), by the map at j
+            for parts in itertools.product(*[blocks[j] for j in psi]):
+                yield CosetPerm(itertools.chain.from_iterable(parts))
+
+
+def _tally(perms, size: int | None) -> CycleIndex:
+    """Cycle index of a set of permutations.
 
     Cycle types are tallied with integer counts and divided once at the
     end, so the result is independent of enumeration order.
     """
-    tally: Counter[CycleType] = Counter()
-    total = 0
-    for g in elements:
-        tally[materialize(g).cycle_type()] += 1
-        total += 1
+    tally = Counter(perm.cycle_type() for perm in perms)
+    total = sum(tally.values())
     if size is not None and size != total:
         raise ValueError(f"expected {size} elements, saw {total}")
     return CycleIndex({ct: Fraction(n, total) for ct, n in tally.items()})
+
+
+def ci_brute(elements, size: int | None = None) -> CycleIndex:
+    """Cycle index of a set of group elements, by materializing each one."""
+    return _tally(map(materialize, elements), size)
+
+
+def ci_brute_group(group: str, d: int, m: int,
+                   cap: int = DEFAULT_CAP) -> CycleIndex:
+    """ci_brute(enumerate_group(group, d, m, cap), group_order(group, d, m)),
+    by one walk of the group that builds no element object."""
+    return _tally(_group_perms(group, d, m, cap), group_order(group, d, m))
 
 
 def hol_class_id_brute(g: AffineMapZ) -> HolClassId:
@@ -214,22 +261,62 @@ def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
     Raises ValueError unless every rep has the claimed property, no two
     reps are conjugate, every element of that kind is conjugate to
     exactly one rep, and every rep's class has an element in the group.
+
+    Elements are visited in enumerate_group's order.  The part of the
+    predicate that reads psi alone is taken once per psi: no element
+    whose psi is not an involution (not one d-cycle) is an involution
+    (a long cycle).  For involutions, each pool map's inverse and
+    involution test are taken once per pool and every component tuple
+    is tested against them; only elements of the kind are built.
     """
     mode = "Weq" if system.group == "Weq" else "W"
-    predicate = is_long_cycle if system.kind == "long-cycle" else is_involution_elem
+    long_cycle = system.kind == "long-cycle"
+    predicate = is_long_cycle if long_cycle else is_involution_elem
     for g in system.reps:
         if not predicate(g):
             raise ValueError(f"representative {g} lacks the claimed property")
     index = {conjugacy_invariant(g, mode): i for i, g in enumerate(system.reps)}
     if len(index) != len(system.reps):
         raise ValueError("representatives are not pairwise non-conjugate")
+    d, m = system.d, system.m
+    pools = [list(_pool_maps(m, multipliers))
+             for multipliers in _pools(system.group, d, m, cap)]
+    # per pool: the position of each map's inverse (None outside the
+    # pool), and whether each map is an involution
+    inverses = []
+    for pool in pools:
+        position = {g: k for k, g in enumerate(pool)}
+        inverses.append(([position.get(g.inverse()) for g in pool],
+                         [g.is_involution() for g in pool]))
     matched = set()
-    for g in enumerate_group(system.group, system.d, system.m, cap):
-        if predicate(g):
-            i = index.get(conjugacy_invariant(g, mode))
-            if i is None:
-                raise ValueError(f"element {g} matches no representative")
-            matched.add(i)
+
+    def match(g):
+        i = index.get(conjugacy_invariant(g, mode))
+        if i is None:
+            raise ValueError(f"element {g} matches no representative")
+        matched.add(i)
+
+    for images in itertools.permutations(range(d)):
+        psi = CosetPerm(images)
+        cycles = psi.cycles()
+        if long_cycle:
+            if len(cycles) != 1:
+                continue
+            for pool in pools:
+                for maps in itertools.product(pool, repeat=d):
+                    g = WreathElem(psi, maps)
+                    if is_long_cycle(g):
+                        match(g)
+            continue
+        if not psi.is_involution():
+            continue
+        pairs = [c for c in cycles if len(c) == 2]
+        fixed = [c[0] for c in cycles if len(c) == 1]
+        for pool, (inverse, involution) in zip(pools, inverses):
+            for ks in itertools.product(range(len(pool)), repeat=d):
+                if (all(inverse[ks[i]] == ks[j] for i, j in pairs)
+                        and all(involution[ks[i]] for i in fixed)):
+                    match(WreathElem(psi, [pool[k] for k in ks]))
     if len(matched) != len(system.reps):
         raise ValueError("a representative's class has no group element")
 

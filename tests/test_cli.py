@@ -66,6 +66,15 @@ def test_analyze_identity(capsys):
     assert "psi: id" in out
 
 
+def test_analyze_coefficient_with_a_negative_exponent(capsys):
+    code, out = run(capsys, "analyze", "--q", "25", "--d", "2",
+                    "--poly", "w^-1*T")
+    assert code == 0
+    assert out == run(capsys, "analyze", "--q", "25", "--d", "2",
+                      "--poly", "w^23*T")[1]
+    assert "poly: w^23*T" in out
+
+
 def test_analyze_rejection_exit_code(capsys):
     code, out = run(capsys, "analyze", "--q", "25", "--d", "2",
                     "--poly", "T + 1")
@@ -681,6 +690,7 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
      "cannot parse cyclotomic form 'f(a=[w^0,w^1],r=[x,1])'"),
     (["to-poly", "--form", "f(a=[w^0, w^],r=[1,1])"],
      "cannot parse field element 'w^'"),
+    (["analyze", "--poly", "T^-1"], "cannot parse term 'T^-1'"),
 ])
 def test_parse_errors_name_the_input(capsys, argv, message):
     code, out = run(capsys, *argv, "--q", "25", "--d", "2")

@@ -26,6 +26,7 @@ from cycloperm.oracle import (
     materialize,
 )
 from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem
+from tests_helpers import SMALL_GROUPS, check_rep_system_reference
 
 
 def test_knuth_examples():
@@ -315,6 +316,58 @@ def test_rep_system_check_rejects_broken_systems(fault):
     }[fault]
     with pytest.raises(ValueError, match=message):
         check_rep_system(system._replace(reps=reps))
+
+
+def broken_systems(system):
+    """The system's reps, intact and with each fault that can occur at
+    its size: a rep dropped, a rep duplicated up to conjugacy, a rep of
+    the wrong kind and, in W1, a W rep from outside the group."""
+    group, kind, d, m = system.group, system.kind, system.d, system.m
+    reps = system.reps
+    # k lies in W1, so conjugating by it stays within all three groups
+    k = WreathElem(CosetPerm.from_cycles(d, [tuple(range(d))]),
+                   [AffineMapZ(m, 1, 1)] * d)
+    out = {"intact": reps, "dropped": reps[1:],
+           "duplicated": reps + (k.inverse().compose(reps[0]).compose(k),)}
+    has_kind = is_long_cycle if kind == "long-cycle" else is_involution_elem
+    other = "involution" if kind == "long-cycle" else "long-cycle"
+    wrong = [g for g in rep_system(group, other, d, m).reps if not has_kind(g)]
+    if wrong:
+        out["wrong kind"] = reps[:-1] + tuple(wrong[:1])
+    if group == "W1":
+        ids = {conjugacy_invariant(g) for g in reps}
+        outside = [g for g in rep_system("W", kind, d, m).reps
+                   if conjugacy_invariant(g) not in ids]
+        if outside:
+            out["outside the group"] = reps + tuple(outside[:1])
+    return out
+
+
+def check_outcome(check, system, *cap):
+    try:
+        check(system, *cap)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("kind", ("long-cycle", "involution"))
+@pytest.mark.parametrize("group,d,m", SMALL_GROUPS)
+def test_check_rep_system_agrees_with_the_reference_loop(group, d, m, kind):
+    """The per-psi walk accepts and rejects what one loop testing the
+    predicate on every element does, with the same message."""
+    system = rep_system(group, kind, d, m)
+    for fault, reps in broken_systems(system).items():
+        broken = system._replace(reps=reps)
+        expected = check_outcome(check_rep_system_reference, broken)
+        assert check_outcome(check_rep_system, broken) == expected, fault
+        assert (expected is None) == (fault == "intact"), fault
+
+
+def test_check_rep_system_refuses_above_the_cap_as_the_reference_does():
+    system = rep_system("W", "involution", 3, 4)
+    for check in (check_rep_system, check_rep_system_reference):
+        assert check_outcome(check, system, 100) == "|W(3,4)| exceeds the cap 100"
 
 
 def test_reps_as_cyclotomic_focp_long_cycle(ctx_cache):

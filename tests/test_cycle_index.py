@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -408,6 +409,14 @@ def test_ci_cp_term_count_diagnostic():
 def test_cycle_index_parse_round_trip():
     for ci in (GOLD_HOL12, ci_gcp(2, 6), ci_cp(2, 12), ci_sym(1)):
         assert CycleIndex.parse(str(ci)) == ci
+
+
+@pytest.mark.parametrize("text, chunk", [("1/0*x1^2 + 1/2*x2", "1/0*x1^2 "),
+                                         ("1/2*x2+3/00*x1^2", "3/00*x1^2")])
+def test_cycle_index_parse_refuses_a_zero_denominator(text, chunk):
+    with pytest.raises(ValueError, match=re.escape(f"bad coefficient in {chunk!r}")):
+        CycleIndex.parse(text)
+    assert CycleIndex.parse("1/02*x2") == CycleIndex.parse("1/2*x2")
 
 
 def test_cycle_type_str_and_parse():

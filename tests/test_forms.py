@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -218,6 +219,17 @@ def test_poly_parse_subtraction_and_vectors(f25):
     assert Q.coeff(0) == -(f25.from_int(2) * w)
     R = PolyForm.parse(f25, "-T + 1")
     assert R.coeff(1) == -f25.one and R.coeff(0) == f25.one
+
+
+def test_poly_parse_negative_exponent_of_a_coefficient(f25):
+    """A - after ^ signs the exponent of a field element; a negative
+    degree of T is refused, naming the whole term."""
+    w = f25.omega
+    P = PolyForm.parse(f25, "w^-1*T - w^ -2 + T^3")
+    assert P.coeffs == {0: -(w ** 22), 1: w ** 23, 3: f25.one}
+    for text, term in (("T^-1", "T^-1"), ("T + w*T^ -2", " w*T^ -2")):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term!r}")):
+            PolyForm.parse(f25, text)
 
 
 def test_poly_degree_cap(f25):

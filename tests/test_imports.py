@@ -4,8 +4,9 @@ but the field and the oracle ask for the full discrete-log table or
 the Zech table, none but the field
 takes single discrete logs or builds an FqElem from coefficients, none
 composes cycle indices by general substitution, only eval_cyclotomic
-finds cosets by field powers, and outside the field only
-wreath.cyclotomic_to_wreath takes a batch of discrete logs.
+finds cosets by field powers, outside the field only
+wreath.cyclotomic_to_wreath takes a batch of discrete logs, and the
+CLI never enumerates a group element by element.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -224,3 +225,10 @@ def test_only_the_wreath_switch_takes_dlogs_batches(module):
     exempt = "cyclotomic_to_wreath" if module == "wreath.py" else None
     assert calls_of((SRC / module).read_text(), "dlogs",
                     outside=exempt) == 0
+
+
+def test_cli_builds_no_object_per_group_element():
+    # the CLI's brute-force checks go through oracle.ci_brute_group and
+    # oracle.check_rep_system, which walk each group once per top
+    # permutation; enumerate_group builds a WreathElem per element
+    assert calls_of((SRC / "cli.py").read_text(), "enumerate_group") == 0

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from cycloperm.forms import (
 from cycloperm.oracle import (
     NotBijective,
     ci_brute,
+    ci_brute_group,
     conjugate_brute,
     enumerate_group,
     group_order,
@@ -21,7 +23,7 @@ from cycloperm.oracle import (
     materialize,
 )
 from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem, wreath_to_cyclotomic
-from tests_helpers import pointwise, random_form, random_wreath
+from tests_helpers import SMALL_GROUPS, pointwise, random_form, random_wreath
 
 PRIME_POWERS_TO_256 = [q for q in range(2, 257) if len(factorize(q)) == 1]
 
@@ -173,6 +175,28 @@ def test_enumeration_cap():
 def test_enumeration_unknown_group():
     with pytest.raises(ValueError, match="unknown group 'X'"):
         list(enumerate_group("X", 2, 3))
+
+
+@pytest.mark.parametrize("group,d,m,name", (("W", 4, 100, "W(4,100)"),
+                                            ("Hol", 1, 12, "Hol(Z/12Z)")))
+def test_group_walk_refuses_above_the_cap_as_enumeration_does(group, d, m, name):
+    message = rf"^\|{re.escape(name)}\| exceeds the cap 47$"
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_group(group, d, m, cap=47))
+    with pytest.raises(ValueError, match=message):
+        ci_brute_group(group, d, m, cap=47)
+    with pytest.raises(ValueError, match="unknown group 'X'"):
+        ci_brute_group("X", d, m)
+
+
+@pytest.mark.parametrize("group,d,m", SMALL_GROUPS + tuple(
+    ("Hol", 1, m) for m in range(1, 31)))
+def test_group_walk_equals_ci_brute(group, d, m):
+    """The one walk of a named group (the CLI's brute force, including
+    sym = W1(d, 1) and reg = W1(1, m)) equals materializing each element
+    of enumerate_group."""
+    assert ci_brute_group(group, d, m) == ci_brute(
+        enumerate_group(group, d, m), group_order(group, d, m))
 
 
 def test_ci_brute_golden():

@@ -6,6 +6,12 @@ test files reuse them at lighter sizes for quick regression signal.
 
 import math
 
+from cycloperm.conjugacy import (
+    conjugacy_invariant,
+    is_involution_elem,
+    is_long_cycle,
+)
+from cycloperm.cycle_index import DEFAULT_CAP
 from cycloperm.forms import (
     CyclotomicForm,
     PolyForm,
@@ -15,12 +21,21 @@ from cycloperm.forms import (
     is_permutation_form,
     poly_to_cyclotomic,
 )
+from cycloperm.oracle import enumerate_group, group_order
 from cycloperm.wreath import (
     AffineMapZ,
     CosetPerm,
     WreathElem,
     wreath_to_cyclotomic,
 )
+
+# Every W(d,m), W1(d,m) and W=(d,m) with at most 2*10^4 elements and
+# m <= 30, d = 1 and m = 1 among them.  W1(2, m) for 30 < m <= 100 is
+# the same walk at larger m and would add about 30 s to the suite on a
+# 2-vCPU VM.
+SMALL_GROUPS = tuple((group, d, m) for group in ("W", "W1", "Weq")
+                     for d in range(1, 8) for m in range(1, 31)
+                     if group_order(group, d, m) <= 2 * 10**4)
 
 
 def pointwise(form):
@@ -127,3 +142,25 @@ def run_inversion_identity(ctx, rng, count):
         for (x, y), (_, z) in zip(pointwise(P), pointwise(inv)):
             assert inv.eval(y) == x
             assert P.eval(z) == x
+
+
+def check_rep_system_reference(system, cap=DEFAULT_CAP):
+    """oracle.check_rep_system as one loop over enumerate_group, testing
+    the predicate on every element: the reference for the per-psi walk."""
+    mode = "Weq" if system.group == "Weq" else "W"
+    predicate = is_long_cycle if system.kind == "long-cycle" else is_involution_elem
+    for g in system.reps:
+        if not predicate(g):
+            raise ValueError(f"representative {g} lacks the claimed property")
+    index = {conjugacy_invariant(g, mode): i for i, g in enumerate(system.reps)}
+    if len(index) != len(system.reps):
+        raise ValueError("representatives are not pairwise non-conjugate")
+    matched = set()
+    for g in enumerate_group(system.group, system.d, system.m, cap):
+        if predicate(g):
+            i = index.get(conjugacy_invariant(g, mode))
+            if i is None:
+                raise ValueError(f"element {g} matches no representative")
+            matched.add(i)
+    if len(matched) != len(system.reps):
+        raise ValueError("a representative's class has no group element")
