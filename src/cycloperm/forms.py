@@ -149,16 +149,23 @@ class PolyForm:
         """Parse 'COEF*T^DEG' terms joined by + or -; 'T' means T^1,
         a bare COEF is the constant term, a bare 'T^D' has coefficient 1."""
         coeffs: dict[int, FqElem] = {}
-        for raw in cls._split_terms(text.strip()):
+        terms = cls._split_terms(text.strip())
+        for raw in terms:
             term = raw.strip()
             if not term:
+                if len(terms) > 1:  # beside a + sign
+                    raise ValueError(f"cannot parse polynomial {text!r}: "
+                                     "empty term")
                 continue
             negate = term.startswith("-")
             if negate:
                 term = term[1:].strip()
             if "T" in term:
                 head, _, tail = term.partition("T")
-                head = head.strip().rstrip("*").strip()
+                head = head.strip().removesuffix("*").strip()
+                if head.endswith("*"):
+                    raise ValueError(f"cannot parse polynomial {text!r}: "
+                                     "more than one '*' before T")
                 coef = cfg.parse_elem(head) if head else cfg.one
                 tail = tail.strip()
                 if tail == "":

@@ -15,18 +15,23 @@ arithmetic definitions that the tests compare this walk against.  A
 wreath element is walked one coset at a time, by the definition
 (x, i) -> (g_j(x), j) with j = psi(i).
 
-A whole group is walked once per top permutation psi in Sym(d) and map
-pool: all of Hol for W, the translations for W1, one pool per common
-multiplier for W=, and Hol(Z/mZ) as W(1, m).  ``enumerate_group``
-builds each element from the pools.  ``ci_brute_group`` builds none:
-it lists each pool map's block of images on each coset once, joins the
-d blocks an element's psi picks, and tallies the cycle type of each
-joined list, checked to be a bijection.  ``check_rep_system`` tests
-the part of its predicate that reads psi once per psi and the rest
-against per-pool tables of inverses and involutions, and builds only
-the elements of the kind.  Enumeration sizes are guarded by an explicit
-cap (default 10^7): exceeding it raises before any element is visited,
-instead of silently truncating.
+A wreath group's elements are, per top permutation psi in Sym(d) and
+map pool, all d-tuples of pool maps: all of Hol for W, the translations
+for W1, one pool per common multiplier for W=, and Hol(Z/mZ) as
+W(1, m).  ``enumerate_group`` builds each element from the pools.
+``ci_brute_group`` builds none: cosets in different cycles of psi never
+mix, so it walks one block of l cosets per pool and cycle length l over
+every l-tuple of pool maps, each block checked to be a bijection, and
+multiplies the blocks' cycle-type tallies along the cycles of each psi.
+``check_rep_system`` takes the part of its predicate that reads psi
+once per psi; it tests involution candidates against per-pool tables of
+inverses and involutions, and long-cycle candidates by the full-cycle
+criterion on their forward cycle product, composed as integers.  It
+builds only the elements of the kind.  The oracle walks points: it
+calls none of the cycle-type formulas it is there to check (``fcp``,
+``cycle_type_wreath``, the ``ci_*`` closed forms).  Enumeration sizes
+are guarded by an explicit cap (default 10^7): exceeding it raises
+before any element is visited, instead of silently truncating.
 """
 
 from __future__ import annotations
@@ -42,8 +47,9 @@ from .conjugacy import (
     conjugacy_invariant,
     is_involution_elem,
     is_long_cycle,
+    knuth_is_full_cycle,
 )
-from .cycle_index import DEFAULT_CAP, CycleIndex
+from .cycle_index import DEFAULT_CAP, CycleIndex, CycleType
 from .forms import CyclotomicForm, PolyForm
 from .wreath import AffineMapZ, CosetPerm, WreathElem
 
@@ -194,34 +200,23 @@ def enumerate_group(group: str, d: int, m: int, cap: int = DEFAULT_CAP):
                 yield WreathElem(psi, maps)
 
 
-def _group_perms(group: str, d: int, m: int, cap: int):
-    """materialize(g) for every g in enumerate_group(group, d, m, cap),
-    in another order, without building g: each pool map's block of
-    images m*j + g(x) on coset j is listed once, and an element joins
-    the d blocks its psi picks.  With one coset no block is used twice,
-    so each is listed as it is needed."""
-    pools = _pools(group, d, m, cap)
-    if group == "Hol" or d == 1:
-        for multipliers in pools:
-            for g in _pool_maps(m, multipliers):
-                yield CosetPerm(_affine_images(g))
-        return
-    for multipliers in pools:
-        pool = list(_pool_maps(m, multipliers))
-        blocks = [[_affine_images(g, m * j) for g in pool] for j in range(d)]
-        for psi in itertools.permutations(range(d)):
-            # coset i goes to coset j = psi(i), by the map at j
-            for parts in itertools.product(*[blocks[j] for j in psi]):
-                yield CosetPerm(itertools.chain.from_iterable(parts))
+def _join(left: Counter, right: Counter) -> Counter:
+    """Tally of the disjoint unions of a cycle type from left and one
+    from right, each counted the product of their counts."""
+    out: Counter = Counter()
+    for ct, n in left.items():
+        for other, k in right.items():
+            out[ct.mul(other)] += n * k
+    return out
 
 
-def _tally(perms, size: int | None) -> CycleIndex:
-    """Cycle index of a set of permutations.
+def _cycle_index(tally: Counter, size: int | None) -> CycleIndex:
+    """Cycle index of a tally of cycle types, checked against the group
+    order when given.
 
     Cycle types are tallied with integer counts and divided once at the
     end, so the result is independent of enumeration order.
     """
-    tally = Counter(perm.cycle_type() for perm in perms)
     total = sum(tally.values())
     if size is not None and size != total:
         raise ValueError(f"expected {size} elements, saw {total}")
@@ -230,14 +225,58 @@ def _tally(perms, size: int | None) -> CycleIndex:
 
 def ci_brute(elements, size: int | None = None) -> CycleIndex:
     """Cycle index of a set of group elements, by materializing each one."""
-    return _tally(map(materialize, elements), size)
+    return _cycle_index(Counter(materialize(g).cycle_type() for g in elements),
+                        size)
 
 
 def ci_brute_group(group: str, d: int, m: int,
                    cap: int = DEFAULT_CAP) -> CycleIndex:
     """ci_brute(enumerate_group(group, d, m, cap), group_order(group, d, m)),
-    by one walk of the group that builds no element object."""
-    return _tally(_group_perms(group, d, m, cap), group_order(group, d, m))
+    by a walk over blocks that builds no element object.
+
+    Cosets in different cycles of psi never mix, so an element's cycles
+    are the union of the cycles of its blocks, a block being the cosets
+    of one l-cycle of psi with the maps on them.  Every coset of an
+    element draws its map from the same pool (all of Hol for W, the
+    translations for W1, one multiplier's maps for each W= pool), so
+    the blocks on any l-cycle, over all l-tuples of pool maps, are the
+    blocks on cosets 0..l-1 under the cycle (0 1 ... l-1), relabelled.
+    Per pool and length l that one block is walked over every l-tuple
+    of pool maps, each block a CosetPerm (the bijection check), and its
+    cycle types tallied.  Every psi in Sym(d) is walked for its cycle
+    type; per pool, the tallies of a type's cycles multiply, once for
+    every psi of that type.  The total count is checked against
+    group_order.  Hol and d = 1 walk one block per map, each listed as
+    it is needed: a pool of Hol(Z/mZ) holds m*phi(m) maps of m points.
+    """
+    pools = _pools(group, d, m, cap)
+    size = group_order(group, d, m)
+    if group == "Hol" or d == 1:
+        return _cycle_index(Counter(
+            CosetPerm(_affine_images(g)).cycle_type()
+            for multipliers in pools for g in _pool_maps(m, multipliers)), size)
+    psi_types = Counter(CosetPerm(images).cycle_type()
+                        for images in itertools.permutations(range(d)))
+    total: Counter = Counter()
+    for multipliers in pools:
+        pool = list(_pool_maps(m, multipliers))
+        blocks = [[_affine_images(g, m * j) for g in pool] for j in range(d)]
+        by_length = {}
+        for length in range(1, d + 1):
+            # coset k goes to coset k+1 mod l, by the map at k+1
+            cycle = [*range(1, length), 0]
+            tally = Counter(
+                CosetPerm(itertools.chain.from_iterable(parts)).cycle_type().counts
+                for parts in itertools.product(*[blocks[j] for j in cycle]))
+            by_length[length] = {CycleType(counts): n
+                                 for counts, n in tally.items()}
+        for psi_type, count in psi_types.items():
+            product = Counter({CycleType([]): count})
+            for length, mult in psi_type.counts:
+                for _ in range(mult):
+                    product = _join(product, by_length[length])
+            total.update(product)
+    return _cycle_index(total, size)
 
 
 def hol_class_id_brute(g: AffineMapZ) -> HolClassId:
@@ -267,7 +306,10 @@ def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
     whose psi is not an involution (not one d-cycle) is an involution
     (a long cycle).  For involutions, each pool map's inverse and
     involution test are taken once per pool and every component tuple
-    is tested against them; only elements of the kind are built.
+    is tested against them.  For long cycles, each component tuple's
+    forward cycle product along psi's one cycle is composed as an
+    integer pair (a, b) and tested by knuth_is_full_cycle.  Only
+    elements of the kind are built.
     """
     mode = "Weq" if system.group == "Weq" else "W"
     long_cycle = system.kind == "long-cycle"
@@ -302,11 +344,16 @@ def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
         if long_cycle:
             if len(cycles) != 1:
                 continue
+            (cycle,) = cycles
             for pool in pools:
                 for maps in itertools.product(pool, repeat=d):
-                    g = WreathElem(psi, maps)
-                    if is_long_cycle(g):
-                        match(g)
+                    # the forward cycle product along psi's one cycle
+                    a, b = 1, 0
+                    for i in cycle:
+                        g = maps[i]
+                        a, b = a * g.a % m, (g.a * b + g.b) % m
+                    if knuth_is_full_cycle(a, b, m):
+                        match(WreathElem(psi, maps))
             continue
         if not psi.is_involution():
             continue

@@ -691,6 +691,10 @@ def test_main_builds_only_the_named_command(capsys, monkeypatch):
     (["to-poly", "--form", "f(a=[w^0, w^],r=[1,1])"],
      "cannot parse field element 'w^'"),
     (["analyze", "--poly", "T^-1"], "cannot parse term 'T^-1'"),
+    (["analyze", "--poly", "w^3*T^13++w^7*T"],
+     "cannot parse polynomial 'w^3*T^13++w^7*T': empty term"),
+    (["invert", "--poly", "w^3**T^13"],
+     "cannot parse polynomial 'w^3**T^13': more than one '*' before T"),
 ])
 def test_parse_errors_name_the_input(capsys, argv, message):
     code, out = run(capsys, *argv, "--q", "25", "--d", "2")

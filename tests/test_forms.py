@@ -232,6 +232,28 @@ def test_poly_parse_negative_exponent_of_a_coefficient(f25):
             PolyForm.parse(f25, text)
 
 
+@pytest.mark.parametrize("text", ("w^3*T^13++w^7*T", "w^3*T^13 + + w^7*T",
+                                  "+T", "T +", "w^3*T - 1 + "))
+def test_poly_parse_refuses_an_empty_term(f25, text):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot parse polynomial {text!r}: empty term")):
+        PolyForm.parse(f25, text)
+
+
+@pytest.mark.parametrize("text", ("w^3**T^13", "w^3 * *T", "T + w**T"))
+def test_poly_parse_refuses_repeated_stars(f25, text):
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot parse polynomial {text!r}: more than one '*' before T")):
+        PolyForm.parse(f25, text)
+
+
+def test_poly_parse_keeps_one_star_and_the_empty_input(f25):
+    w = f25.omega
+    assert PolyForm.parse(f25, "w^3 * T^13 + w^7*T") == PolyForm(
+        f25, {13: w ** 3, 1: w ** 7})
+    assert PolyForm.parse(f25, "  ") == PolyForm(f25, {})
+
+
 def test_poly_degree_cap(f25):
     with pytest.raises(ValueError):
         PolyForm.parse(f25, "T^25")

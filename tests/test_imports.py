@@ -5,8 +5,9 @@ the Zech table, none but the field
 takes single discrete logs or builds an FqElem from coefficients, none
 composes cycle indices by general substitution, only eval_cyclotomic
 finds cosets by field powers, outside the field only
-wreath.cyclotomic_to_wreath takes a batch of discrete logs, and the
-CLI never enumerates a group element by element.
+wreath.cyclotomic_to_wreath takes a batch of discrete logs, the
+CLI never enumerates a group element by element, and the oracle calls
+none of the cycle-type formulas it checks.
 
 __init__.py is exempt from the import check: it imports names to
 re-export them.
@@ -232,3 +233,24 @@ def test_cli_builds_no_object_per_group_element():
     # oracle.check_rep_system, which walk each group once per top
     # permutation; enumerate_group builds a WreathElem per element
     assert calls_of((SRC / "cli.py").read_text(), "enumerate_group") == 0
+
+
+def closed_forms() -> list[str]:
+    """The cycle-type and cycle-index formulas: fcp, the cycle types of
+    affine maps and wreath elements, stretching, and cycle_index's ci_*
+    closed forms, read off the module so a new one is covered."""
+    tree = ast.parse((SRC / "cycle_index.py").read_text())
+    return ["fcp", "cycle_type_affine", "cycle_type_wreath", "stretch"] + sorted(
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("ci_"))
+
+
+def test_closed_forms_cover_the_cycle_index_formulas():
+    assert {"ci_sym", "ci_hol", "ci_gcp", "ci_focp", "ci_cp"} <= set(closed_forms())
+
+
+@pytest.mark.parametrize("name", closed_forms())
+def test_the_oracle_calls_no_closed_form(name):
+    # the oracle is the ground truth for these formulas: a walk that
+    # called one would check the theorem against itself
+    assert calls_of((SRC / "oracle.py").read_text(), name) == 0

@@ -199,6 +199,38 @@ def test_group_walk_equals_ci_brute(group, d, m):
         enumerate_group(group, d, m), group_order(group, d, m))
 
 
+def test_group_walk_checks_every_block_for_a_bijection(monkeypatch):
+    """A collision inside any block of the factored walk is caught by
+    the block's CosetPerm, as it was on whole elements."""
+    from cycloperm import oracle
+    affine_images = oracle._affine_images
+
+    def colliding(g, offset=0):
+        images = affine_images(g, offset)
+        if offset:  # every block on more than one coset
+            images[1] = images[0]
+        return images
+
+    monkeypatch.setattr(oracle, "_affine_images", colliding)
+    with pytest.raises(ValueError, match="not a permutation of 0..7"):
+        ci_brute_group("W", 2, 4)
+
+
+@pytest.mark.parametrize("group,d,m,expected,seen", (
+    ("W", 2, 4, 128, 98), ("W1", 3, 2, 48, 6), ("Weq", 2, 3, 36, 16),
+    ("Hol", 1, 6, 12, 11)))
+def test_group_walk_counts_the_elements_it_tallies(monkeypatch, group, d, m,
+                                                   expected, seen):
+    """With one map dropped from each pool, the product of the block
+    tallies no longer adds up to the group order."""
+    from cycloperm import oracle
+    pool_maps = oracle._pool_maps
+    monkeypatch.setattr(oracle, "_pool_maps",
+                        lambda m, multipliers: list(pool_maps(m, multipliers))[:-1])
+    with pytest.raises(ValueError, match=f"^expected {expected} elements, saw {seen}$"):
+        ci_brute_group(group, d, m)
+
+
 def test_ci_brute_golden():
     assert ci_brute(enumerate_group("Hol", 1, 12), 48) == ci_hol(12)
     trivial = ci_brute([WreathElem.identity_z(2, 5)])
