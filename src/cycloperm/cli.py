@@ -191,12 +191,18 @@ def cmd_to_poly(args) -> int:
     return _emit(args, payload)
 
 
+def _positive(flag: str, value: int) -> None:
+    if value < 1:
+        raise CommandError(f"--{flag} {value} is not positive")
+
+
 def _reconcile_dm(args):
     d = args.d
     if d is None:
         raise CommandError("need --d")
-    if d < 1:
-        raise CommandError(f"--d {d} is not positive")
+    _positive("d", d)
+    if args.m is not None:
+        _positive("m", args.m)
     if args.q is not None:
         _prime_power(args.q)
         if (args.q - 1) % d != 0:
@@ -224,6 +230,7 @@ def cmd_cycle_index(args) -> int:
     elif group in ("hol", "reg"):
         if args.m is None:
             raise CommandError(f"need --m for {group}")
+        _positive("m", args.m)
         ci = ci_hol(args.m) if group == "hol" else ci_regular(args.m)
         # the regular representation of Z/mZ is W1(1, m)
         brute_group = ("Hol" if group == "hol" else "W1", 1, args.m)

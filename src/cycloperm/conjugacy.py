@@ -19,7 +19,9 @@ l-cycles agree.  For the equal-multiplier subgroup W=(d,m) the same
 test plus equality of the multipliers decides conjugacy *within*
 W=(d,m); note that W(d,m)-conjugacy is strictly coarser (a conjugator
 with non-constant components can change the multiplier), so the two
-modes genuinely differ.
+modes genuinely differ.  invariant_of lays the invariant out from the
+integer cycle products; conjugacy_invariant and the oracle's check of
+representative systems both call it.
 
 Representative systems, one construction per kind for all three groups:
 
@@ -47,14 +49,19 @@ from .wreath import (AffineMapZ, CosetPerm, WreathElem, fcp,
                      wreath_to_cyclotomic)
 
 
-def knuth_is_full_cycle(a: int, b: int, m: int) -> bool:
-    """True iff x -> ax+b is an m-cycle on Z/mZ.
+def full_cycle_test(m: int):
+    """The test (a, b) -> whether x -> ax+b is an m-cycle on Z/mZ, for
+    a unit a: a = 1 (mod rad'(m)) and gcd(b, m) = 1.  rad'(m) is taken
+    once, when the test is made."""
+    rp = rad_prime(m)
+    return lambda a, b: (a - 1) % rp == 0 and math.gcd(b, m) == 1
 
-    Criterion: a = 1 (mod rad'(m)) and gcd(b, m) = 1.
-    """
+
+def knuth_is_full_cycle(a: int, b: int, m: int) -> bool:
+    """True iff x -> ax+b is an m-cycle on Z/mZ (see full_cycle_test)."""
     if math.gcd(a, m) != 1:
         raise ValueError(f"multiplier {a} is not a unit mod {m}")
-    return (a - 1) % rad_prime(m) == 0 and math.gcd(b, m) == 1
+    return full_cycle_test(m)(a, b)
 
 
 class HolClassId(NamedTuple):
@@ -65,16 +72,22 @@ class HolClassId(NamedTuple):
     b_canon: int
 
 
-def hol_class_id(g: AffineMapZ) -> HolClassId:
-    """Minimal member of the orbit {(1-a)z + c*b} as the class label.
+def hol_class_id_of(m: int, a: int, b: int) -> HolClassId:
+    """Minimal member of the orbit {(1-a)z + c*b} as the class label of
+    lam(a, b), for 0 <= a, b < m.
 
     With step = gcd(1-a, m) the minimum is gcd(b, step), or 0 when
     step | b: modulo step the orbit is {x : gcd(x, step) = gcd(b, step)},
     since units mod m map onto units mod step.
     """
-    step = math.gcd((1 - g.a) % g.m, g.m)
-    b_canon = math.gcd(g.b, step)
-    return HolClassId(g.m, g.a, 0 if b_canon == step else b_canon)
+    step = math.gcd((1 - a) % m, m)
+    b_canon = math.gcd(b, step)
+    return HolClassId(m, a, 0 if b_canon == step else b_canon)
+
+
+def hol_class_id(g: AffineMapZ) -> HolClassId:
+    """The class label of g in Hol(Z/mZ) (see hol_class_id_of)."""
+    return hol_class_id_of(g.m, g.a, g.b)
 
 
 def hol_conjugate(g: AffineMapZ, h: AffineMapZ) -> bool:
@@ -92,19 +105,33 @@ def conjugacy_invariant(g: WreathElem, mode: str = "W"):
     subgroup): additionally the common multiplier; input must have
     constant multipliers.
     """
-    by_len: dict[int, list[HolClassId]] = {}
-    for cycle in g.psi.cycles():
-        by_len.setdefault(len(cycle), []).append(hol_class_id(fcp(g, cycle)))
-    fingerprint = tuple(sorted(
-        (length, tuple(sorted(ids))) for length, ids in by_len.items()))
-    if mode == "W":
-        return (g.psi.cycle_type(), fingerprint)
+    if mode not in ("W", "Weq"):
+        raise ValueError(f"unknown mode {mode!r}")
+    multiplier = None
     if mode == "Weq":
         multipliers = {m.a for m in g.maps}
         if len(multipliers) != 1:
             raise ValueError("Weq mode needs a constant multiplier")
-        return (g.psi.cycle_type(), multipliers.pop(), fingerprint)
-    raise ValueError(f"unknown mode {mode!r}")
+        multiplier = multipliers.pop()
+    cycles = g.psi.cycles()
+    products = [fcp(g, cycle) for cycle in cycles]
+    return invariant_of(g.psi.cycle_type(), [len(c) for c in cycles],
+                        [(p.a, p.b) for p in products], g.m, multiplier)
+
+
+def invariant_of(psi_type, lengths, products, m: int, multiplier=None):
+    """conjugacy_invariant from its parts: psi's cycle type, the length
+    of each cycle of psi, the forward cycle product along it as an
+    integer pair (a, b) with 0 <= a, b < m, and the common multiplier in
+    mode 'Weq' (None in mode 'W')."""
+    by_len: dict[int, list[HolClassId]] = {}
+    for length, (a, b) in zip(lengths, products):
+        by_len.setdefault(length, []).append(hol_class_id_of(m, a, b))
+    fingerprint = tuple(sorted(
+        (length, tuple(sorted(ids))) for length, ids in by_len.items()))
+    if multiplier is None:
+        return (psi_type, fingerprint)
+    return (psi_type, multiplier, fingerprint)
 
 
 def wreath_conjugate(g: WreathElem, h: WreathElem, mode: str = "W") -> bool:
@@ -202,6 +229,8 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
         raise ValueError(f"unknown kind {kind!r}")
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
     if kind == "long-cycle":
         rp = rad_prime(m)
         if group == "W":

@@ -23,11 +23,13 @@ W(1, m).  ``enumerate_group`` builds each element from the pools.
 mix, so it walks one block of l cosets per pool and cycle length l over
 every l-tuple of pool maps, each block checked to be a bijection, and
 multiplies the blocks' cycle-type tallies along the cycles of each psi.
-``check_rep_system`` takes the part of its predicate that reads psi
-once per psi; it tests involution candidates against per-pool tables of
-inverses and involutions, and long-cycle candidates by the full-cycle
-criterion on their forward cycle product, composed as integers.  It
-builds only the elements of the kind.  The oracle walks points: it
+``check_rep_system`` builds none either, on a passing check.  It
+generates the involutions of each involutive psi from per-pool tables
+of inverses and involutions instead of filtering every tuple, tests
+long-cycle candidates by the full-cycle criterion on their forward
+cycle product, and keys each element of the kind by
+``conjugacy.invariant_of`` on its cycle products, all composed as
+integer pairs (a, b).  The oracle walks points: it
 calls none of the cycle-type formulas it is there to check (``fcp``,
 ``cycle_type_wreath``, the ``ci_*`` closed forms).  Enumeration sizes
 are guarded by an explicit cap (default 10^7): exceeding it raises
@@ -45,9 +47,10 @@ from .arith import phi, units
 from .conjugacy import (
     HolClassId,
     conjugacy_invariant,
+    full_cycle_test,
+    invariant_of,
     is_involution_elem,
     is_long_cycle,
-    knuth_is_full_cycle,
 )
 from .cycle_index import DEFAULT_CAP, CycleIndex, CycleType
 from .forms import CyclotomicForm, PolyForm
@@ -294,6 +297,20 @@ def hol_class_id_brute(g: AffineMapZ) -> HolClassId:
     return HolClassId(m, g.a, best)
 
 
+def cycle_products(cycles, pairs, m: int) -> list[tuple[int, int]]:
+    """The forward cycle product g_i0 * g_i1 * ... along each cycle of
+    psi, as an integer pair (a, b) mod m, for an element whose component
+    maps lam(a, b) are given as pairs (a, b)."""
+    out = []
+    for cycle in cycles:
+        a, b = 1, 0
+        for i in cycle:
+            ga, gb = pairs[i]
+            a, b = a * ga % m, (ga * b + gb) % m
+        out.append((a, b))
+    return out
+
+
 def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
     """Completeness of a representative system, by enumerating its group.
 
@@ -301,15 +318,21 @@ def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
     reps are conjugate, every element of that kind is conjugate to
     exactly one rep, and every rep's class has an element in the group.
 
-    Elements are visited in enumerate_group's order.  The part of the
-    predicate that reads psi alone is taken once per psi: no element
-    whose psi is not an involution (not one d-cycle) is an involution
-    (a long cycle).  For involutions, each pool map's inverse and
-    involution test are taken once per pool and every component tuple
-    is tested against them.  For long cycles, each component tuple's
-    forward cycle product along psi's one cycle is composed as an
-    integer pair (a, b) and tested by knuth_is_full_cycle.  Only
-    elements of the kind are built.
+    Elements of the kind are visited in enumerate_group's order, and
+    only they are: no element whose psi is not an involution (not one
+    d-cycle) is an involution (a long cycle).  Component maps are
+    integer pairs (a, b), listed once per pool.  Involutions are
+    generated from per-pool tables of inverses and involutions: the
+    first slot of each 2-cycle of psi takes every pool map whose inverse
+    is in the pool, the second slot that inverse, and each fixed coset
+    every involution of the pool.  Long cycles are tested by the
+    full-cycle criterion on the forward cycle product along psi's one
+    cycle, from the products of the cycle's stretches before and after
+    coset d-1, the slot that varies fastest.  Each element's invariant
+    is conjugacy_invariant's, built by invariant_of from its integer
+    cycle products (for a long cycle, once per distinct product); a
+    WreathElem is built only to name an element that matches no
+    representative.
     """
     mode = "Weq" if system.group == "Weq" else "W"
     long_cycle = system.kind == "long-cycle"
@@ -323,47 +346,78 @@ def check_rep_system(system, cap: int = DEFAULT_CAP) -> None:
     d, m = system.d, system.m
     pools = [list(_pool_maps(m, multipliers))
              for multipliers in _pools(system.group, d, m, cap)]
-    # per pool: the position of each map's inverse (None outside the
-    # pool), and whether each map is an involution
-    inverses = []
-    for pool in pools:
-        position = {g: k for k, g in enumerate(pool)}
-        inverses.append(([position.get(g.inverse()) for g in pool],
-                         [g.is_involution() for g in pool]))
+    # per pool: its maps as pairs and, in mode Weq, their one multiplier
+    pairs_of = [[(g.a, g.b) for g in pool] for pool in pools]
+    multiplier_of = [pairs[0][0] if mode == "Weq" else None
+                     for pairs in pairs_of]
     matched = set()
 
-    def match(g):
-        i = index.get(conjugacy_invariant(g, mode))
+    def match(psi, maps, key):
+        i = index.get(key)
         if i is None:
+            g = WreathElem(psi, [AffineMapZ(m, a, b) for a, b in maps])
             raise ValueError(f"element {g} matches no representative")
         matched.add(i)
 
-    for images in itertools.permutations(range(d)):
-        psi = CosetPerm(images)
-        cycles = psi.cycles()
-        if long_cycle:
+    if long_cycle:
+        full_cycle = full_cycle_test(m)
+        for images in itertools.permutations(range(d)):
+            psi = CosetPerm(images)
+            cycles = psi.cycles()
             if len(cycles) != 1:
                 continue
             (cycle,) = cycles
-            for pool in pools:
-                for maps in itertools.product(pool, repeat=d):
-                    # the forward cycle product along psi's one cycle
-                    a, b = 1, 0
-                    for i in cycle:
-                        g = maps[i]
-                        a, b = a * g.a % m, (g.a * b + g.b) % m
-                    if knuth_is_full_cycle(a, b, m):
-                        match(WreathElem(psi, maps))
-            continue
-        if not psi.is_involution():
-            continue
-        pairs = [c for c in cycles if len(c) == 2]
-        fixed = [c[0] for c in cycles if len(c) == 1]
-        for pool, (inverse, involution) in zip(pools, inverses):
-            for ks in itertools.product(range(len(pool)), repeat=d):
-                if (all(inverse[ks[i]] == ks[j] for i, j in pairs)
-                        and all(involution[ks[i]] for i in fixed)):
-                    match(WreathElem(psi, [pool[k] for k in ks]))
+            psi_type = psi.cycle_type()
+            t = cycle.index(d - 1)
+            before, after = cycle[:t], cycle[t + 1:]
+            for pairs, multiplier in zip(pairs_of, multiplier_of):
+                keys = {}  # a long cycle's key reads only its cycle product
+                for prefix in itertools.product(pairs, repeat=d - 1):
+                    # the product along the cycle is
+                    # lam(a1, b1) * g_{d-1} * lam(a2, b2)
+                    (a1, b1), (a2, b2) = cycle_products(
+                        (before, after), prefix, m)
+                    for ga, gb in pairs:
+                        a = a1 * ga * a2 % m
+                        b = (a2 * (ga * b1 + gb) + b2) % m
+                        if full_cycle(a, b):
+                            key = keys.get((a, b))
+                            if key is None:
+                                key = keys[a, b] = invariant_of(
+                                    psi_type, (d,), ((a, b),), m, multiplier)
+                            match(psi, prefix + ((ga, gb),), key)
+    else:
+        tables = []
+        for pool in pools:
+            inverse = {}
+            for g in pool:
+                h = g.inverse()
+                inverse[g.a, g.b] = (h.a, h.b)
+            # the maps whose inverse is in the pool, and the involutions:
+            # the maps that are their own inverse
+            tables.append(({g: h for g, h in inverse.items() if h in inverse},
+                           [g for g, h in inverse.items() if g == h]))
+        for images in itertools.permutations(range(d)):
+            psi = CosetPerm(images)
+            if not psi.is_involution():
+                continue
+            cycles = psi.cycles()
+            psi_type, lengths = psi.cycle_type(), [len(c) for c in cycles]
+            for (inverse_of, involutions), multiplier in zip(tables,
+                                                             multiplier_of):
+                choices = [inverse_of if len(c) == 2 else involutions
+                           for c in cycles]
+                # each cycle's minimal element is a free slot, so the
+                # product of the choices runs in enumeration order
+                for picks in itertools.product(*choices):
+                    maps = [None] * d
+                    for cycle, pick in zip(cycles, picks):
+                        maps[cycle[0]] = pick
+                        if len(cycle) == 2:
+                            maps[cycle[1]] = inverse_of[pick]
+                    match(psi, maps, invariant_of(
+                        psi_type, lengths, cycle_products(cycles, maps, m),
+                        m, multiplier))
     if len(matched) != len(system.reps):
         raise ValueError("a representative's class has no group element")
 

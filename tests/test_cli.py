@@ -278,6 +278,21 @@ def test_d_below_1_is_an_error(capsys, argv):
     assert out == "status: error\nmessage: --d 0 is not positive\n"
 
 
+@pytest.mark.parametrize("argv,m", [
+    (("reps", "--group", "w", "--kind", "long-cycle", "--d", "2", "--m", "0"), 0),
+    (("reps", "--group", "weq", "--kind", "involution", "--d", "2", "--m", "-3",
+      "--verify"), -3),
+    (("cycle-index", "--group", "gcp", "--d", "2", "--m", "-4"), -4),
+    (("cycle-index", "--group", "wreath-brute", "--d", "2", "--m", "0"), 0),
+    (("cycle-index", "--group", "hol", "--m", "0"), 0),
+    (("cycle-index", "--group", "reg", "--m", "-1", "--verify"), -1),
+])
+def test_m_below_1_is_an_error(capsys, argv, m):
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert out == f"status: error\nmessage: --m {m} is not positive\n"
+
+
 def test_reps_w_long_cycle_golden(capsys):
     code, out = run(capsys, "reps", "--group", "w", "--kind", "long-cycle",
                     "--d", "2", "--m", "12")

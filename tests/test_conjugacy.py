@@ -276,6 +276,13 @@ def test_rep_system_needs_d_at_least_1(group, kind):
         rep_system(group, kind, 0, 5)
 
 
+@pytest.mark.parametrize("kind", ["long-cycle", "involution"])
+@pytest.mark.parametrize("m", [0, -4])
+def test_rep_system_needs_m_at_least_1(kind, m):
+    with pytest.raises(ValueError, match=f"^need m >= 1, got {m}$"):
+        rep_system("W", kind, 2, m)
+
+
 def test_rep_system_w_involution_count():
     system = rep_system("W", "involution", 2, 12)
     assert len(system.reps) == 37  # C(8+1, 2) multisets + the paired class

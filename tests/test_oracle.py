@@ -4,6 +4,12 @@ import re
 import pytest
 
 from cycloperm.arith import divisors, factorize
+from cycloperm.conjugacy import (
+    conjugacy_invariant,
+    invariant_of,
+    is_involution_elem,
+    rep_system,
+)
 from cycloperm.cycle_index import CycleType, ci_hol
 from cycloperm.field import CyclotomicContext, make_field
 from cycloperm.forms import (
@@ -16,13 +22,21 @@ from cycloperm.oracle import (
     NotBijective,
     ci_brute,
     ci_brute_group,
+    check_rep_system,
     conjugate_brute,
+    cycle_products,
     enumerate_group,
     group_order,
     image_logs,
     materialize,
 )
-from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem, wreath_to_cyclotomic
+from cycloperm.wreath import (
+    AffineMapZ,
+    CosetPerm,
+    WreathElem,
+    fcp,
+    wreath_to_cyclotomic,
+)
 from tests_helpers import SMALL_GROUPS, pointwise, random_form, random_wreath
 
 PRIME_POWERS_TO_256 = [q for q in range(2, 257) if len(factorize(q)) == 1]
@@ -229,6 +243,78 @@ def test_group_walk_counts_the_elements_it_tallies(monkeypatch, group, d, m,
                         lambda m, multipliers: list(pool_maps(m, multipliers))[:-1])
     with pytest.raises(ValueError, match=f"^expected {expected} elements, saw {seen}$"):
         ci_brute_group(group, d, m)
+
+
+@pytest.mark.parametrize("group,d,m", [
+    (group, d, m) for group, d, m in SMALL_GROUPS
+    if group_order(group, d, m) <= 2000])
+def test_integer_invariant_is_conjugacy_invariant(group, d, m):
+    """check_rep_system's invariant, invariant_of on the integer cycle
+    products, is conjugacy_invariant on every element of the group."""
+    for mode in ("W", "Weq") if group == "Weq" else ("W",):
+        for g in enumerate_group(group, d, m):
+            cycles = g.psi.cycles()
+            products = cycle_products(cycles, [(h.a, h.b) for h in g.maps], m)
+            multiplier = g.maps[0].a if mode == "Weq" else None
+            assert invariant_of(g.psi.cycle_type(), [len(c) for c in cycles],
+                                products, m, multiplier) == \
+                conjugacy_invariant(g, mode), (mode, g)
+
+
+@pytest.mark.parametrize("kind", ("long-cycle", "involution"))
+@pytest.mark.parametrize("group,d,m", [
+    (group, d, m) for group, d, m in SMALL_GROUPS
+    if group_order(group, d, m) <= 2000])
+def test_rep_system_check_walks_the_elements_of_the_kind(monkeypatch, group,
+                                                         d, m, kind):
+    """check_rep_system tests the forward cycle product of every element
+    of enumerate_group whose psi is one d-cycle, in that order, for long
+    cycles; for involutions it takes the cycle products of exactly the
+    involutions, in that order."""
+    from cycloperm import oracle
+    seen = []
+    if kind == "long-cycle":
+        expected = [(p.a, p.b) for g in enumerate_group(group, d, m)
+                    if len(cycles := g.psi.cycles()) == 1
+                    for p in [fcp(g, cycles[0])]]
+        full_cycle_test = oracle.full_cycle_test
+
+        def recording_test(m):
+            test = full_cycle_test(m)
+            return lambda a, b: seen.append((a, b)) or test(a, b)
+
+        monkeypatch.setattr(oracle, "full_cycle_test", recording_test)
+    else:
+        expected = [[(h.a, h.b) for h in g.maps]
+                    for g in enumerate_group(group, d, m)
+                    if is_involution_elem(g)]
+        products = oracle.cycle_products
+
+        def recording_products(cycles, pairs, m):
+            seen.append(list(pairs))
+            return products(cycles, pairs, m)
+
+        monkeypatch.setattr(oracle, "cycle_products", recording_products)
+    check_rep_system(rep_system(group, kind, d, m))
+    assert seen == expected
+
+
+def test_a_passing_rep_system_check_builds_no_wreath_element(monkeypatch):
+    """The check walks component maps as integer pairs: a WreathElem is
+    built only to name an element that matches no representative."""
+    systems = [rep_system("W", "involution", 2, 12),
+               rep_system("Weq", "long-cycle", 3, 8)]
+    built = []
+    init = WreathElem.__init__
+
+    def spy(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(WreathElem, "__init__", spy)
+    for system in systems:
+        check_rep_system(system)
+    assert built == []
 
 
 def test_ci_brute_golden():
