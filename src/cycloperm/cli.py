@@ -49,6 +49,7 @@ from .oracle import (
     image_logs,
     materialize,
 )
+from .text import pattern
 from .wreath import (
     AffineMapZ,
     WreathElem,
@@ -96,7 +97,8 @@ def _resolve_field(args):
         p, k = args.p, args.k
     else:
         raise CommandError("need --q or both --p and --k")
-    modulus = [int(c) for c in args.modulus.split(",")] if args.modulus else None
+    modulus = (pattern("&", "cannot parse --modulus")(args.modulus)[0]
+               if args.modulus else None)
     cfg = make_field(p, k, modulus=modulus)
     if args.omega:
         # the default modulus is searched once, for the first field
@@ -281,8 +283,7 @@ def cmd_reps(args) -> int:
 
 def cmd_conjugate(args) -> int:
     if args.group == "hol":
-        g = AffineMapZ.parse(args.elements[0])
-        h = AffineMapZ.parse(args.elements[1])
+        g, h = map(AffineMapZ.parse, args.elements)
         if g.m != h.m:
             raise CommandError("moduli differ")
         ids = [hol_class_id(g), hol_class_id(h)]
@@ -295,8 +296,7 @@ def cmd_conjugate(args) -> int:
         return _emit(args, payload)
     if args.group in ("w", "weq"):
         mode = "W" if args.group == "w" else "Weq"
-        g = WreathElem.parse(args.elements[0])
-        h = WreathElem.parse(args.elements[1])
+        g, h = map(WreathElem.parse, args.elements)
         if (g.d, g.m) != (h.d, h.m):
             raise CommandError(f"shapes differ: {(g.d, g.m)} vs {(h.d, h.m)}")
         inv_g = conjugacy_invariant(g, mode)

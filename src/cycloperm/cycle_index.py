@@ -33,13 +33,16 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from fractions import Fraction
 
 from .arith import divisors, factorize, multiplicative_order, nu, nu_cap, phi
+from .text import pattern, split
 
 # Budget shared by group enumeration (elements) and cycle-index levels (terms).
 DEFAULT_CAP = 10**7
+
+_POWER = pattern("x#{^#}|1", "bad cycle-type term")
+_TERM = pattern("#/#{*%}", "bad coefficient in")
 
 # A unit signature mod p^k: for odd p (and p^0 = 1) the order of the unit,
 # a positive divisor of phi(p^k); for p = 2 a pair (eps, o2) with the unit
@@ -124,16 +127,9 @@ class CycleType:
     @classmethod
     def parse(cls, text: str) -> "CycleType":
         """Parse 'x1^3*x2^2' (exponent 1 may be omitted)."""
-        text = text.strip()
-        if text == "1":
-            return cls([])
-        pairs = []
-        for part in text.split("*"):
-            m = re.fullmatch(r"x(\d+)(?:\^(\d+))?", part.strip())
-            if not m:
-                raise ValueError(f"bad cycle-type term {part!r}")
-            pairs.append((int(m.group(1)), int(m.group(2) or 1)))
-        return cls(pairs)
+        pairs = [_POWER(part) for part in split(text, r"\*")]
+        return cls((length, 1 if mult is None else mult)  # '1' reads as None
+                   for length, mult in pairs if length is not None)
 
 
 class CycleIndex:
@@ -233,13 +229,15 @@ class CycleIndex:
     def parse(cls, text: str) -> "CycleIndex":
         """Parse the output of __str__ (terms 'N/D*x1^e1*...' joined by +)."""
         out = cls()
-        for chunk in text.split("+"):
-            coeff, _, mono = chunk.strip().partition("*")
-            m = re.fullmatch(r"(-?\d+)/(0*[1-9]\d*)", coeff)  # D != 0
-            if not m:
+        if text.strip() == "0":
+            return out
+        for chunk in split(text, r"\+"):
+            num, den, mono = _TERM(chunk)
+            if den < 1:
                 raise ValueError(f"bad coefficient in {chunk!r}")
-            out._add_term(CycleType.parse(mono or "1"),
-                          Fraction(int(m.group(1)), int(m.group(2))))
+            out._add_term(CycleType.parse(mono or "1"), Fraction(num, den))
+        if len({ct.degree() for ct in out.terms}) > 1:
+            raise ValueError(f"mixed degrees in cycle index {text!r}")
         return out
 
 

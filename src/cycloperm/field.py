@@ -53,6 +53,7 @@ import threading
 
 from .arith import factorize, is_prime, multiplicative_order
 from .packed import kernels, pack_digits, poly_divmod, power
+from .text import pattern
 
 # Conway polynomials, coefficient lists c0..ck (constant first, monic).
 # Every entry is checked in the test suite: irreducible and x primitive.
@@ -75,6 +76,7 @@ CONWAY_TABLE: dict[tuple[int, int], tuple[int, ...]] = {
 }
 
 _new = object.__new__
+_ELEM = pattern("w{^#}|#|[&]", "cannot parse field element")
 
 
 def _elem(cfg: "FqConfig", packed: int) -> "FqElem":
@@ -272,18 +274,11 @@ class FqConfig:
     def parse_elem(self, text: str) -> FqElem:
         """Parse '0', 'w^E', 'w', '[c0,c1,...]', or a plain integer."""
         text = text.strip()
-        if text == "0":
-            return self.zero
-        if text == "w":
-            return self.omega
-        try:
-            if text.startswith("w^"):
-                return self.omega ** int(text[2:])
-            if not (text.startswith("[") and text.endswith("]")):
-                return self.from_int(int(text))
-            coeffs = [int(c) for c in text[1:-1].split(",")] if text[1:-1].strip() else []
-        except ValueError:
-            raise ValueError(f"cannot parse field element {text!r}") from None
+        e, n, coeffs = _ELEM(text)
+        if n is not None:
+            return self.from_int(n)
+        if coeffs is None:
+            return self.omega if e is None else self.omega ** e
         if len(coeffs) != self.k:
             raise ValueError(f"need {self.k} coefficients in {text!r}")
         return FqElem(self, coeffs)

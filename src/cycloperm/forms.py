@@ -37,8 +37,12 @@ from __future__ import annotations
 
 from .arith import rem1
 from .field import CyclotomicContext, FqElem
+from .text import SUM, pattern, split
 from .wreath import (CosetPerm, WreathElem, cyclotomic_to_wreath,
                      wreath_to_cyclotomic)
+
+_POWER = pattern("T{^#}", "cannot parse term")
+_FORM = pattern("f(a=[%],r=[&])", "cannot parse cyclotomic form")
 
 
 class Rejected(ValueError):
@@ -120,68 +124,32 @@ class PolyForm:
     def __repr__(self):
         return f"PolyForm({str(self)})"
 
-    @staticmethod
-    def _split_terms(text: str) -> list[str]:
-        """Split on top-level + and unary -, leaving brackets intact; a -
-        after ^ signs an exponent, as in w^-1, and stays in the term."""
-        out = []
-        buf = ""
-        depth = 0
-        for ch in text:
-            if ch == "[":
-                depth += 1
-            elif ch == "]":
-                depth -= 1
-            if depth == 0 and ch == "+":
-                out.append(buf)
-                buf = ""
-            elif (depth == 0 and ch == "-" and buf.strip()
-                  and not buf.rstrip().endswith("^")):
-                out.append(buf)
-                buf = ch
-            else:
-                buf += ch
-        out.append(buf)
-        return out
-
     @classmethod
     def parse(cls, cfg, text: str) -> "PolyForm":
         """Parse 'COEF*T^DEG' terms joined by + or -; 'T' means T^1,
         a bare COEF is the constant term, a bare 'T^D' has coefficient 1."""
         coeffs: dict[int, FqElem] = {}
-        terms = cls._split_terms(text.strip())
-        for raw in terms:
+        for raw in split(text, SUM) if text.strip() else []:
             term = raw.strip()
-            if not term:
-                if len(terms) > 1:  # beside a + sign
-                    raise ValueError(f"cannot parse polynomial {text!r}: "
-                                     "empty term")
-                continue
+            if not term:  # beside a + sign
+                raise ValueError(f"cannot parse polynomial {text!r}: "
+                                 "empty term")
             negate = term.startswith("-")
-            if negate:
-                term = term[1:].strip()
-            if "T" in term:
-                head, _, tail = term.partition("T")
+            head, t, tail = term[negate:].partition("T")
+            deg = 0
+            if t:
                 head = head.strip().removesuffix("*").strip()
                 if head.endswith("*"):
                     raise ValueError(f"cannot parse polynomial {text!r}: "
                                      "more than one '*' before T")
-                coef = cfg.parse_elem(head) if head else cfg.one
-                tail = tail.strip()
-                if tail == "":
-                    deg = 1
-                elif tail.startswith("^") and tail[1:].strip().isdecimal():
-                    deg = int(tail[1:])
-                else:
+                (deg,) = _POWER(t + tail)
+                deg = 1 if deg is None else deg
+                if deg < 0:
                     raise ValueError(f"cannot parse term {raw!r}")
-            else:
-                coef = cfg.parse_elem(term)
-                deg = 0
+            coef = cfg.one if t and not head else cfg.parse_elem(head)
             if deg >= cfg.q:
                 raise ValueError(f"term degree {deg} exceeds q-1 = {cfg.q - 1}")
-            if negate:
-                coef = -coef
-            coeffs[deg] = coeffs.get(deg, cfg.zero) + coef
+            coeffs[deg] = coeffs.get(deg, cfg.zero) + (-coef if negate else coef)
         return cls(cfg, coeffs)
 
 
@@ -222,16 +190,8 @@ class CyclotomicForm:
 
     @classmethod
     def parse(cls, ctx, text: str) -> "CyclotomicForm":
-        import re
-        m = re.fullmatch(r"f\(a=\[(.*?)\],\s*r=\[(.*?)\]\)", text.strip())
-        if not m:
-            raise ValueError(f"cannot parse cyclotomic form {text!r}")
-        a = [ctx.field.parse_elem(s) for s in m.group(1).split(",")]
-        try:
-            r = [int(s) for s in m.group(2).split(",")]
-        except ValueError:
-            raise ValueError(f"cannot parse cyclotomic form {text!r}") from None
-        return cls(ctx, a, r)
+        a, r = _FORM(text)
+        return cls(ctx, [ctx.field.parse_elem(s) for s in split(a)], r)
 
 
 def cyclotomic_strs(forms) -> list[str]:

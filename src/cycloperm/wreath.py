@@ -38,11 +38,15 @@ check and raises the forms module's Rejected with its reason codes.
 from __future__ import annotations
 
 import math
-import re
 
 from .arith import nu_cap, rem1
 from .cycle_index import CycleType, cycle_type_pp, signature_of
 from .field import CyclotomicContext
+from .text import pattern, split
+
+_CYCLE = pattern("(&)|id", "cannot parse permutation")
+_AFFINE = pattern("lam(#,#)@#", "cannot parse affine map")
+_WREATH = pattern("(%;%)", "cannot parse wreath element")
 
 
 class CosetPerm:
@@ -152,13 +156,8 @@ class CosetPerm:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "CosetPerm":
-        text = text.strip()
-        if text == "id":
-            return cls.identity(n)
-        if not re.fullmatch(r"(\s*\([^()]*\))+", text):
-            raise ValueError(f"cannot parse permutation {text!r}")
-        return cls.from_cycles(n, [[int(s) for s in body.split(",")]
-                                   for body in re.findall(r"\(([^()]*)\)", text)])
+        cycles = [_CYCLE(c)[0] for c in split(text, r"(?<=\))\s*(?=\()")]
+        return cls.from_cycles(n, [c for c in cycles if c])  # 'id' reads as None
 
 
 class AffineMapZ:
@@ -219,10 +218,8 @@ class AffineMapZ:
 
     @classmethod
     def parse(cls, text: str) -> "AffineMapZ":
-        m = re.fullmatch(r"lam\((-?\d+),(-?\d+)\)@(\d+)", text.strip())
-        if not m:
-            raise ValueError(f"cannot parse affine map {text!r}")
-        return cls(int(m.group(3)), int(m.group(1)), int(m.group(2)))
+        a, b, m = _AFFINE(text)
+        return cls(m, a, b)
 
 
 class WreathElem:
@@ -303,23 +300,9 @@ class WreathElem:
     @classmethod
     def parse(cls, text: str) -> "WreathElem":
         """Parse '(CYCLES; lam(a,b)@m, ...)'."""
-        text = text.strip()
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ValueError(f"cannot parse wreath element {text!r}")
-        head, _, tail = text[1:-1].partition(";")
-        parts = [s.strip() for s in tail.split(",")] if tail.strip() else []
-        # 'lam(a,b)@m' pieces contain a comma; re-join them pairwise
-        maps_text = []
-        buf = ""
-        for part in parts:
-            buf = f"{buf},{part}" if buf else part
-            if buf.count("(") == buf.count(")"):
-                maps_text.append(buf)
-                buf = ""
-        if buf:
-            raise ValueError(f"unbalanced parentheses in {text!r}")
-        psi = CosetPerm.parse(len(maps_text), head.strip())
-        return cls(psi, [AffineMapZ.parse(s) for s in maps_text])
+        head, tail = _WREATH(text)
+        maps = [AffineMapZ.parse(s) for s in split(tail)] if tail.strip() else []
+        return cls(CosetPerm.parse(len(maps), head), maps)
 
 
 def wreath_strs(elems) -> list[str]:

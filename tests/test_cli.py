@@ -495,6 +495,37 @@ def test_field_flag_bad_modulus(capsys):
     assert "reducible" in out
 
 
+@pytest.mark.parametrize("modulus", ["2,x,1", "2,4,", "2,٣,1"])
+def test_malformed_modulus_names_the_flag_and_the_text(capsys, modulus):
+    code, out = run(capsys, "analyze", "--q", "25", "--d", "2",
+                    "--modulus", modulus, "--poly", "T")
+    assert code == 1
+    assert out == f"status: error\nmessage: cannot parse --modulus {modulus!r}\n"
+
+
+def test_to_poly_reads_bracketed_coefficient_vectors(capsys):
+    # [1,2] = 1 + 2w is w^8 in F_25 with the Conway modulus
+    code, out = run(capsys, "to-poly", "--q", "25", "--d", "2",
+                    "--form", "f(a=[[1,2],w^21], r=[7,5])")
+    assert code == 0
+    assert (code, out) == run(capsys, "to-poly", "--q", "25", "--d", "2",
+                              "--form", "f(a=[w^8,w^21], r=[7,5])")
+
+
+@pytest.mark.parametrize("group, spaced, plain", [
+    ("hol", ["lam(5, 6)@12", "lam( 5 ,0 ) @ 12"], ["lam(5,6)@12", "lam(5,0)@12"]),
+    ("w", ["( (0, 1) ; lam(5, 1)@12 , lam(7,2)@12 )", "((0,1);lam(5,1)@12,lam(7,2)@12)"],
+     ["((0,1); lam(5,1)@12, lam(7,2)@12)"] * 2),
+])
+def test_conjugate_reads_whitespace_as_the_wreath_elements_do(
+        capsys, group, spaced, plain):
+    # an affine map on its own follows the whitespace rule it follows
+    # inside a wreath element
+    code, out = run(capsys, "conjugate", "--group", group, *spaced)
+    assert code == 0
+    assert (code, out) == run(capsys, "conjugate", "--group", group, *plain)
+
+
 def test_malformed_inputs_exit_1(capsys):
     code, out = run(capsys, "analyze", "--q", "25", "--d", "2",
                     "--poly", "w^^3*T")

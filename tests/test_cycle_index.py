@@ -419,6 +419,18 @@ def test_cycle_index_parse_refuses_a_zero_denominator(text, chunk):
     assert CycleIndex.parse("1/02*x2") == CycleIndex.parse("1/2*x2")
 
 
+def test_cycle_index_parse_refuses_mixed_degrees():
+    text = "1/2*x1^2 + 1/2*x1"
+    with pytest.raises(ValueError, match=re.escape(
+            f"mixed degrees in cycle index {text!r}")):
+        CycleIndex.parse(text)
+
+
+def test_zero_cycle_index_round_trips():
+    assert str(CycleIndex()) == "0"
+    assert CycleIndex.parse(" 0 ") == CycleIndex()
+
+
 def test_cycle_type_str_and_parse():
     ct = CycleType([(1, 3), (2, 2)])
     assert str(ct) == "x1^3*x2^2"

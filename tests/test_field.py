@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -341,3 +342,18 @@ def test_element_io(f25):
     assert f25.parse_elem("0") == f25.zero
     with pytest.raises(ValueError):
         f25.parse_elem("[1,2,3]")
+
+
+@pytest.mark.parametrize("text", ["٣", "w^٣", "[٣,1]", "1_0", "+3", "w^+1"])
+def test_parse_elem_reads_ascii_integers_only(f25, text):
+    # int() would take these: non-ASCII digits, digit grouping, a + sign
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot parse field element {text!r}")):
+        f25.parse_elem(text)
+
+
+def test_parse_elem_allows_whitespace_around_marks(f25):
+    w = f25.omega
+    for text in ("w^3", "w ^3", "w^ 3", " w ^ 3 "):
+        assert f25.parse_elem(text) == w**3
+    assert f25.parse_elem("[ 3 , -1 ]") == f25.from_int(3) - w

@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, none
 defines a private top-level function or class it never uses, none
 but the field and the oracle ask for the full discrete-log table or
-the Zech table, none but the field
+the Zech table, none but the grammar (text) imports re, none but the field
 takes single discrete logs or builds an FqElem from coefficients, none
 composes cycle indices by general substitution, only eval_cyclotomic
 finds cosets by field powers, outside the field only
@@ -64,6 +64,31 @@ def test_unused_imports_detector():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
+
+
+def imports_module(source: str, name: str) -> bool:
+    """Whether the source imports the top-level module name anywhere,
+    inside a function too."""
+    return any(isinstance(node, ast.Import)
+               and any(a.name.split(".")[0] == name for a in node.names)
+               or isinstance(node, ast.ImportFrom) and not node.level
+               and node.module.split(".")[0] == name
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_imports_module_detector():
+    assert imports_module("def f():\n    import re\n    return re\n", "re")
+    assert imports_module("import math, re as r\n", "re")
+    assert imports_module("from re import fullmatch\n", "re")
+    assert not imports_module("import regex\nfrom .re import x\n"
+                              "from .text import split\nre = 1\n", "re")
+
+
+@pytest.mark.parametrize("module", [m for m in ALL_MODULES if m != "text.py"])
+def test_only_the_grammar_imports_re(module):
+    # every parser reads its text through text.py: one splitter, one
+    # whitespace rule and one ASCII-integer rule
+    assert not imports_module((SRC / module).read_text(), "re")
 
 
 def unreferenced_privates(source: str) -> list[str]:
