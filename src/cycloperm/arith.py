@@ -24,19 +24,9 @@ Rational = Fraction
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (fine for n <= ~2^32)."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic primality by factorize's trial division (fine for
+    n <= ~2^32)."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -17,8 +17,7 @@ import sys
 
 from .arith import factorize
 from .conjugacy import (
-    FIELD_GROUP_TO_WREATH,
-    conjugacy_invariant,
+    distinguished_by,
     hol_class_id,
     rep_system,
     reps_as_cyclotomic,
@@ -46,6 +45,7 @@ from .oracle import (
     DEFAULT_CAP,
     check_rep_system,
     ci_brute_group,
+    conjugate_brute_group,
     image_logs,
     materialize,
 )
@@ -60,6 +60,17 @@ from .wreath import (
 
 class CommandError(Exception):
     pass
+
+
+# --group name -> (library group, closed-form cycle index of a field
+# group, None for the other groups); a field group's library group is
+# the wreath group of its wreath form
+GROUPS = {
+    "gcp": ("W", ci_gcp), "focp": ("W1", ci_focp), "cp": ("Weq", ci_cp),
+    "w": ("W", None), "w1": ("W1", None), "weq": ("Weq", None),
+    "wreath-brute": ("W", None), "hol": ("Hol", None),
+    "sym": ("W1", None), "reg": ("W1", None),
+}
 
 
 def _add_format_flags(p):
@@ -198,48 +209,51 @@ def _positive(flag: str, value: int) -> None:
         raise CommandError(f"--{flag} {value} is not positive")
 
 
-def _reconcile_dm(args):
+def _reconcile_dm(args, q=None):
+    """(d, m) from --d, --m and the field size: q when given (a field
+    built from the flags), else --q."""
     d = args.d
     if d is None:
         raise CommandError("need --d")
     _positive("d", d)
     if args.m is not None:
         _positive("m", args.m)
-    if args.q is not None:
+    if q is None and args.q is not None:
         _prime_power(args.q)
-        if (args.q - 1) % d != 0:
-            raise CommandError(f"d={d} does not divide q-1={args.q - 1}")
-        m = (args.q - 1) // d
-        if args.m is not None and args.m != m:
-            raise CommandError(f"--m {args.m} conflicts with --q {args.q} "
-                               f"(expected m={m})")
-        return d, m
-    if args.m is None:
-        raise CommandError("need --m or --q")
-    return d, args.m
+        q = args.q
+    if q is None:
+        if args.m is None:
+            raise CommandError("need --m or --q")
+        return d, args.m
+    if (q - 1) % d != 0:
+        raise CommandError(f"d={d} does not divide q-1={q - 1}")
+    m = (q - 1) // d
+    if args.m is not None and args.m != m:
+        raise CommandError(f"--m {args.m} conflicts with q={q}, d={d} "
+                           f"(expected m={m})")
+    return d, m
 
 
 def cmd_cycle_index(args) -> int:
     def brute():
-        return ci_brute_group(*brute_group, args.cap)
+        return ci_brute_group(library_group, d, m, args.cap)
 
     group = args.group
+    library_group, closed = GROUPS[group]
     if group == "sym":
         if args.d is None:
             raise CommandError("need --d for sym")
         ci = ci_sym(args.d, args.cap)
-        brute_group = ("W1", args.d, 1)  # Sym(d) is W1(d, 1)
+        d, m = args.d, 1  # Sym(d) is W1(d, 1)
     elif group in ("hol", "reg"):
         if args.m is None:
             raise CommandError(f"need --m for {group}")
         _positive("m", args.m)
         ci = ci_hol(args.m) if group == "hol" else ci_regular(args.m)
         # the regular representation of Z/mZ is W1(1, m)
-        brute_group = ("Hol" if group == "hol" else "W1", 1, args.m)
+        d, m = 1, args.m
     else:
         d, m = _reconcile_dm(args)
-        brute_group = (FIELD_GROUP_TO_WREATH.get(group.upper(), "W"), d, m)
-        closed = {"gcp": ci_gcp, "focp": ci_focp, "cp": ci_cp}.get(group)
         ci = closed(d, m, args.cap) if closed else brute()
     payload = {"status": "ok", "group": group, "cycle_index": str(ci),
                "terms": len(ci.terms), "degree": ci.degree()}
@@ -253,27 +267,18 @@ def cmd_cycle_index(args) -> int:
 
 
 def cmd_reps(args) -> int:
-    group = args.group
-    kind = args.kind
-    if group in ("w", "w1", "weq"):
-        wname = {"w": "W", "w1": "W1", "weq": "Weq"}[group]
-        d, m = _reconcile_dm(args)
-        system = rep_system(wname, kind, d, m)
-        lines = wreath_strs(system.reps)
-    elif group in ("gcp", "focp", "cp"):
-        if args.d is None:
-            raise CommandError("need --d")
-        cfg = _resolve_field(args)
-        ctx = CyclotomicContext(cfg, args.d)
-        if args.m is not None and args.m != ctx.m:
-            raise CommandError(f"--m {args.m} conflicts with q={cfg.q}, "
-                               f"d={args.d} (expected m={ctx.m})")
-        system = rep_system(FIELD_GROUP_TO_WREATH[group.upper()], kind,
-                            ctx.d, ctx.m)
+    library_group, closed = GROUPS[args.group]
+    # a field group (one with a closed form) takes m from its field,
+    # which is read once --d is known to be given
+    cfg = _resolve_field(args) if closed and args.d is not None else None
+    d, m = _reconcile_dm(args, cfg.q if cfg else None)
+    system = rep_system(library_group, args.kind, d, m)
+    if cfg:
+        ctx = CyclotomicContext(cfg, d)
         lines = cyclotomic_strs(reps_as_cyclotomic(system, ctx))
     else:
-        raise CommandError(f"unknown group {group!r}")
-    payload = {"status": "ok", "group": group, "kind": kind,
+        lines = wreath_strs(system.reps)
+    payload = {"status": "ok", "group": args.group, "kind": args.kind,
                "count": len(lines), "rep": lines}
     if args.verify:
         check_rep_system(system, args.cap)
@@ -282,44 +287,27 @@ def cmd_reps(args) -> int:
 
 
 def cmd_conjugate(args) -> int:
-    if args.group == "hol":
+    library_group = GROUPS[args.group][0]
+    if library_group == "Hol":
         g, h = map(AffineMapZ.parse, args.elements)
         if g.m != h.m:
             raise CommandError("moduli differ")
         ids = [hol_class_id(g), hol_class_id(h)]
-        verdict = ids[0] == ids[1]
-        payload = {"status": "ok", "conjugate": verdict}
-        if not verdict:
-            payload["distinguished_by"] = (
-                "multiplier" if g.a != h.a else "translation-orbit")
-            payload["class_ids"] = [str(tuple(i)) for i in ids]
-        return _emit(args, payload)
-    if args.group in ("w", "weq"):
-        mode = "W" if args.group == "w" else "Weq"
+        reason = (None if ids[0] == ids[1] else
+                  "multiplier" if g.a != h.a else "translation-orbit")
+    else:
         g, h = map(WreathElem.parse, args.elements)
-        if (g.d, g.m) != (h.d, h.m):
-            raise CommandError(f"shapes differ: {(g.d, g.m)} vs {(h.d, h.m)}")
-        inv_g = conjugacy_invariant(g, mode)
-        inv_h = conjugacy_invariant(h, mode)
-        verdict = inv_g == inv_h
-        payload = {"status": "ok", "conjugate": verdict}
-        if not verdict:
-            payload["distinguished_by"] = _wreath_mismatch(inv_g, inv_h, mode)
-        return _emit(args, payload)
-    raise CommandError(f"unknown group {args.group!r}")
-
-
-def _wreath_mismatch(inv_g, inv_h, mode):
-    if inv_g[0] != inv_h[0]:
-        return "psi-cycle-type"
-    if mode == "Weq" and inv_g[1] != inv_h[1]:
-        return "multiplier"
-    fp_g, fp_h = inv_g[-1], inv_h[-1]
-    lens = {length for length, _ in fp_g} | {length for length, _ in fp_h}
-    for length in sorted(lens):
-        if dict(fp_g).get(length) != dict(fp_h).get(length):
-            return f"cycle-product-classes(l={length})"
-    return "cycle-product-classes"
+        reason = distinguished_by(g, h, library_group)
+    payload = {"status": "ok", "conjugate": reason is None}
+    if reason is not None:
+        payload["distinguished_by"] = reason
+        if library_group == "Hol":
+            payload["class_ids"] = [str(tuple(i)) for i in ids]
+    if args.verify:
+        if conjugate_brute_group(library_group, g, h) != (reason is None):
+            raise CommandError("conjugacy disagrees with brute force")
+        payload["verified"] = True
+    return _emit(args, payload)
 
 
 def _add_poly_flags(p):
@@ -411,11 +399,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Rejected as exc:
-        code = _emit(args, {"status": "rejected", "reason": exc.code})
-        return code
+        return _emit(args, {"status": "rejected", "reason": exc.code})
     except (CommandError, ValueError) as exc:
-        _emit(args, {"status": "error", "message": str(exc)})
-        return 1
+        return _emit(args, {"status": "error", "message": str(exc)})
 
 
 if __name__ == "__main__":

@@ -21,7 +21,8 @@ W=(d,m); note that W(d,m)-conjugacy is strictly coarser (a conjugator
 with non-constant components can change the multiplier), so the two
 modes genuinely differ.  invariant_of lays the invariant out from the
 integer cycle products; conjugacy_invariant and the oracle's check of
-representative systems both call it.
+representative systems both call it, and distinguished_by names the
+part of it that tells two elements apart.
 
 Representative systems, one construction per kind for all three groups:
 
@@ -134,11 +135,28 @@ def invariant_of(psi_type, lengths, products, m: int, multiplier=None):
     return (psi_type, multiplier, fingerprint)
 
 
+def distinguished_by(g: WreathElem, h: WreathElem, mode: str = "W"):
+    """None if g and h are conjugate (in W(d,m) for mode 'W', within
+    W=(d,m) for 'Weq'), else the first part of their invariants that
+    differs: 'psi-cycle-type', 'multiplier' (mode 'Weq') or
+    'cycle-product-classes(l=L)' for the least such cycle length L."""
+    if (g.d, g.m) != (h.d, h.m):
+        raise ValueError(f"shapes differ: {(g.d, g.m)} vs {(h.d, h.m)}")
+    (psi_g, *mult_g, by_g), (psi_h, *mult_h, by_h) = (
+        conjugacy_invariant(x, mode) for x in (g, h))
+    if psi_g != psi_h:
+        return "psi-cycle-type"
+    if mult_g != mult_h:
+        return "multiplier"
+    by_g, by_h = dict(by_g), dict(by_h)
+    lengths = [length for length in sorted(by_g.keys() | by_h.keys())
+               if by_g.get(length) != by_h.get(length)]
+    return f"cycle-product-classes(l={lengths[0]})" if lengths else None
+
+
 def wreath_conjugate(g: WreathElem, h: WreathElem, mode: str = "W") -> bool:
     """Conjugacy test: in W(d,m) for mode 'W', within W=(d,m) for 'Weq'."""
-    if g.m != h.m or g.d != h.d:
-        raise ValueError("wreath elements have different shapes")
-    return conjugacy_invariant(g, mode) == conjugacy_invariant(h, mode)
+    return distinguished_by(g, h, mode) is None
 
 
 def hol_involution_reps_pp(p: int, k: int) -> list[tuple[int, int]]:
@@ -265,17 +283,14 @@ def rep_system(group: str, kind: str, d: int, m: int) -> RepSystem:
     return RepSystem(group, kind, d, m, tuple(reps))
 
 
-FIELD_GROUP_TO_WREATH = {"GCP": "W", "FOCP": "W1", "CP": "Weq"}
-
-
 def reps_as_cyclotomic(system: RepSystem, ctx: CyclotomicContext) -> list:
     """Representative systems at field level, in cyclotomic form.
 
     Maps the wreath representatives of a system over m = (q-1)/d (W for
-    GCP, W1 for FOCP, W= for CP; see FIELD_GROUP_TO_WREATH) through the
-    form isomorphism.  Every output is verified to be a permutation
-    form of the system's kind (full cycle on F_q^* resp. involution),
-    by materializing it; a failure raises ValueError.
+    GCP, W1 for FOCP, W= for CP) through the form isomorphism.  Every
+    output is verified to be a permutation form of the system's kind
+    (full cycle on F_q^* resp. involution), by materializing it; a
+    failure raises ValueError.
     """
     from .oracle import materialize  # oracle imports this module
     lengths = {ctx.field.q - 1} if system.kind == "long-cycle" else {1, 2}

@@ -428,3 +428,11 @@ def conjugate_brute(g, h, group_elements) -> bool:
         if k.inverse().compose(g).compose(k) == h:
             return True
     return False
+
+
+def conjugate_brute_group(group: str, g, h, cap: int = DEFAULT_CAP) -> bool:
+    """conjugate_brute over the group of g and h: Hol(Z/mZ) for affine
+    maps, W(d,m) or W=(d,m) for wreath elements of shape (d, m).  Above
+    the cap it raises before any element is visited."""
+    d = 1 if group == "Hol" else g.d
+    return conjugate_brute(g, h, enumerate_group(group, d, g.m, cap))

@@ -38,6 +38,28 @@ def test_factorize_reconstructs_and_primes():
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
 
 
+def is_prime_by_odd_divisors(n: int) -> bool:
+    """Reference primality by a loop of its own: trial division by 2
+    and by every odd f with f*f <= n."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_matches_trial_division_by_odd_divisors():
+    for n in range(-2, 10**4 + 1):
+        assert is_prime(n) == is_prime_by_odd_divisors(n), n
+
+
 def test_rem1_examples():
     assert rem1(12, 12) == 12
     assert rem1(17, 12) == 5

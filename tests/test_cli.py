@@ -271,6 +271,7 @@ def test_q_that_is_not_a_prime_power_is_an_error(capsys, argv):
     ("cycle-index", "--group", "gcp", "--m", "5", "--d", "0"),
     ("cycle-index", "--group", "focp", "--m", "5", "--d", "0"),
     ("reps", "--group", "w", "--kind", "involution", "--d", "0", "--m", "5"),
+    ("reps", "--group", "gcp", "--kind", "involution", "--q", "25", "--d", "0"),
 ])
 def test_d_below_1_is_an_error(capsys, argv):
     code, out = run(capsys, *argv)
@@ -291,6 +292,27 @@ def test_m_below_1_is_an_error(capsys, argv, m):
     code, out = run(capsys, *argv)
     assert code == 1
     assert out == f"status: error\nmessage: --m {m} is not positive\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("reps", "--group", "w", "--kind", "involution", "--q", "25"),
+    ("reps", "--group", "gcp", "--kind", "involution", "--q", "25"),
+    ("reps", "--group", "gcp", "--kind", "involution", "--p", "5", "--k", "2"),
+    ("cycle-index", "--group", "gcp", "--q", "25"),
+])
+def test_m_conflict_names_q_and_d(capsys, argv):
+    # one rule for wreath and field groups, whether q came from --q or
+    # from --p/--k
+    code, out = run(capsys, *argv, "--d", "2", "--m", "5")
+    assert code == 1
+    assert out == ("status: error\n"
+                   "message: --m 5 conflicts with q=25, d=2 (expected m=12)\n")
+
+
+def test_field_reps_need_d_before_a_field(capsys):
+    code, out = run(capsys, "reps", "--group", "cp", "--kind", "involution")
+    assert code == 1
+    assert out == "status: error\nmessage: need --d\n"
 
 
 def test_reps_w_long_cycle_golden(capsys):
@@ -430,6 +452,99 @@ def test_conjugate_malformed_cycles_is_an_error(capsys, psi, message):
                     "(id; lam(1,0)@3, lam(1,0)@3)")
     assert code == 1
     assert out == f"status: error\nmessage: {message}\n"
+
+
+def _conjugate_by(g, k):
+    return k.inverse().compose(g).compose(k)
+
+
+def _verify_pairs():
+    """(group, g, h, conjugate) for one conjugate and one non-conjugate
+    pair per --group of conjugate."""
+    from cycloperm.wreath import WreathElem
+    g = WreathElem.parse("((0,1); lam(5,1)@12, lam(5,2)@12)")
+    in_w = WreathElem.parse("((0,1); lam(1,3)@12, lam(5,0)@12)")
+    in_weq = WreathElem.parse("(id; lam(7,3)@12, lam(7,10)@12)")
+    return [
+        ("hol", "lam(5,6)@12", "lam(5,2)@12", True),
+        ("hol", "lam(5,6)@12", "lam(5,0)@12", False),
+        ("w", str(g), str(_conjugate_by(g, in_w)), True),
+        ("w", str(g), "(id; lam(5,1)@12, lam(5,2)@12)", False),
+        ("weq", str(g), str(_conjugate_by(g, in_weq)), True),
+        # conjugate in W(2, 12), but not within W=(2, 12)
+        ("weq", "((0,1); lam(1,0)@12, lam(1,0)@12)",
+         "((0,1); lam(5,0)@12, lam(5,0)@12)", False),
+    ]
+
+
+@pytest.mark.parametrize("group, g, h, conjugate", _verify_pairs())
+def test_conjugate_verify_agrees_with_brute_force(capsys, group, g, h,
+                                                  conjugate):
+    code, out = run(capsys, "conjugate", "--group", group, g, h, "--verify")
+    assert code == 0, out
+    assert f"conjugate: {'true' if conjugate else 'false'}\n" in out
+    assert out.endswith("verified: true\n")
+    # the verdict is the one given without --verify
+    assert run(capsys, "conjugate", "--group", group, g, h)[1] \
+        == out.removesuffix("verified: true\n")
+
+
+@pytest.mark.parametrize("group, g, name", [
+    ("hol", "lam(1,1)@10007", "Hol(Z/10007Z)"),
+    ("w", "(id; lam(1,0)@12, lam(1,0)@12, lam(1,0)@12, lam(1,0)@12)",
+     "W(4,12)"),
+])
+def test_conjugate_verify_refuses_a_group_above_the_cap(capsys, monkeypatch,
+                                                        group, g, name):
+    from cycloperm import oracle
+
+    def visited(*args):
+        raise AssertionError("an element was built")
+
+    monkeypatch.setattr(oracle, "AffineMapZ", visited)
+    monkeypatch.setattr(oracle, "CosetPerm", visited)
+    code, out = run(capsys, "conjugate", "--group", group, g, g, "--verify")
+    assert code == 1
+    assert out == ("status: error\nmessage: "
+                   f"|{name}| exceeds the cap {cli.DEFAULT_CAP}\n")
+
+
+@pytest.mark.parametrize("group, g, h, conjugate", _verify_pairs()[::3])
+def test_conjugate_verify_reports_a_disagreement(capsys, monkeypatch, group,
+                                                 g, h, conjugate):
+    monkeypatch.setattr(cli, "conjugate_brute_group",
+                        lambda *args: not conjugate)
+    code, out = run(capsys, "conjugate", "--group", group, g, h, "--verify")
+    assert code == 1
+    assert out == ("status: error\n"
+                   "message: conjugacy disagrees with brute force\n")
+
+
+def _unbacked_groups(table):
+    """The --group choices of cycle-index, reps and conjugate without a
+    table entry whose library group oracle.group_order accepts."""
+    from cycloperm.oracle import group_order
+    choices = {name for command in ("cycle-index", "reps", "conjugate")
+               for action in _subparsers(cli.build_parser(command))[
+                   command]._actions
+               if action.dest == "group" for name in action.choices}
+    unbacked = []
+    for name in sorted(choices):
+        try:
+            group_order(table[name][0], 2, 3)
+        except (KeyError, ValueError):
+            unbacked.append(name)
+    return unbacked
+
+
+def test_unbacked_groups_detector():
+    broken = dict(cli.GROUPS, w=("Wreath", None))
+    del broken["hol"]
+    assert _unbacked_groups(broken) == ["hol", "w"]
+
+
+def test_every_group_choice_names_a_library_group():
+    assert _unbacked_groups(cli.GROUPS) == []
 
 
 def test_error_exit_code(capsys):

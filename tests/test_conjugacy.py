@@ -5,9 +5,9 @@ import pytest
 
 from cycloperm.arith import factorize, units
 from cycloperm.conjugacy import (
-    FIELD_GROUP_TO_WREATH,
     classify_wreath,
     conjugacy_invariant,
+    distinguished_by,
     hol_class_id,
     hol_conjugate,
     hol_involution_reps,
@@ -27,6 +27,8 @@ from cycloperm.oracle import (
 )
 from cycloperm.wreath import AffineMapZ, CosetPerm, WreathElem
 from tests_helpers import SMALL_GROUPS, check_rep_system_reference
+
+FIELD_GROUP_TO_WREATH = {"GCP": "W", "FOCP": "W1", "CP": "Weq"}
 
 
 def test_knuth_examples():
@@ -131,6 +133,34 @@ def test_wreath_conjugate_psi_mismatch():
     swapped = WreathElem(CosetPerm((1, 0)), [ident, ident])
     straight = WreathElem(CosetPerm((0, 1)), [ident, ident])
     assert not wreath_conjugate(swapped, straight, "W")
+
+
+@pytest.mark.parametrize("g, h, mode, reason", [
+    ("((0,1); lam(1,0)@12, lam(1,0)@12)", "(id; lam(1,0)@12, lam(1,0)@12)",
+     "W", "psi-cycle-type"),
+    ("((0,1); lam(1,0)@12, lam(1,0)@12)", "((0,1); lam(5,0)@12, lam(5,0)@12)",
+     "Weq", "multiplier"),
+    ("((0,1); lam(1,0)@12, lam(1,0)@12)", "((0,1); lam(5,0)@12, lam(5,0)@12)",
+     "W", None),
+    ("((0,1); lam(1,1)@12, lam(1,0)@12, lam(1,0)@12)",
+     "((0,1); lam(1,0)@12, lam(1,0)@12, lam(1,1)@12)",
+     "W", "cycle-product-classes(l=1)"),
+    ("((0,1); lam(1,1)@12, lam(1,0)@12, lam(1,0)@12)",
+     "((0,1); lam(1,0)@12, lam(1,0)@12, lam(1,0)@12)",
+     "W", "cycle-product-classes(l=2)"),
+])
+def test_distinguished_by_names_the_first_differing_part(g, h, mode, reason):
+    g, h = WreathElem.parse(g), WreathElem.parse(h)
+    assert distinguished_by(g, h, mode) == reason
+    assert distinguished_by(h, g, mode) == reason
+    assert wreath_conjugate(g, h, mode) == (reason is None)
+
+
+def test_distinguished_by_refuses_different_shapes():
+    g = WreathElem.parse("((0,1); lam(1,0)@12, lam(1,0)@12)")
+    h = WreathElem.parse("((0,1); lam(1,0)@11, lam(1,0)@11)")
+    with pytest.raises(ValueError, match=r"shapes differ: \(2, 12\) vs \(2, 11\)"):
+        distinguished_by(g, h)
 
 
 def test_wreath_conjugate_vs_brute_w26():

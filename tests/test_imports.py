@@ -260,6 +260,24 @@ def test_cli_builds_no_object_per_group_element():
     assert calls_of((SRC / "cli.py").read_text(), "enumerate_group") == 0
 
 
+INVARIANT_BUILDERS = ("conjugacy_invariant", "invariant_of")
+
+
+def test_invariant_calls_detector():
+    source = ("from .conjugacy import conjugacy_invariant\n"
+              "a = conjugacy_invariant(g, 'W')\n"
+              "b = conjugacy.invariant_of(t, ls, ps, m)\n"
+              "c = invariant_of(t, ls, ps, m, 5)\nd = conjugacy_invariant\n")
+    assert [calls_of(source, name) for name in INVARIANT_BUILDERS] == [1, 2]
+
+
+@pytest.mark.parametrize("name", INVARIANT_BUILDERS)
+def test_cli_reads_no_conjugacy_invariant(name):
+    # the invariant's layout is conjugacy's own: distinguished_by names
+    # the part that tells two elements apart, and the CLI prints it
+    assert calls_of((SRC / "cli.py").read_text(), name) == 0
+
+
 def closed_forms() -> list[str]:
     """The cycle-type and cycle-index formulas: fcp, the cycle types of
     affine maps and wreath elements, stretching, and cycle_index's ci_*
