@@ -48,6 +48,7 @@ A form conversion never builds either.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 
@@ -79,7 +80,7 @@ _new = object.__new__
 _ELEM = pattern("w{^#}|#|[&]", "cannot parse field element")
 
 
-def _elem(cfg: "FqConfig", packed: int) -> "FqElem":
+def from_packed(cfg: "FqConfig", packed: int) -> "FqElem":
     """The element with an already packed and reduced int."""
     x = _new(FqElem)
     x.cfg = cfg
@@ -111,20 +112,20 @@ class FqElem:
 
     def __add__(self, other):
         self._check(other)
-        return _elem(self.cfg, self.cfg._add(self.packed, other.packed))
+        return from_packed(self.cfg, self.cfg._add(self.packed, other.packed))
 
     def __sub__(self, other):
         self._check(other)
-        return _elem(self.cfg, self.cfg._sub(self.packed, other.packed))
+        return from_packed(self.cfg, self.cfg._sub(self.packed, other.packed))
 
     def __neg__(self):
-        return _elem(self.cfg, self.cfg._neg(self.packed))
+        return from_packed(self.cfg, self.cfg._neg(self.packed))
 
     def __mul__(self, other):
         cfg = self.cfg
         if other.__class__ is not FqElem or other.cfg is not cfg:
             raise ValueError("elements belong to different fields")
-        return _elem(cfg, cfg._mul(self.packed, other.packed))
+        return from_packed(cfg, cfg._mul(self.packed, other.packed))
 
     def inverse(self) -> "FqElem":
         if self.is_zero():
@@ -141,7 +142,7 @@ class FqElem:
             if e < 0:
                 raise ZeroDivisionError("negative power of 0 in F_q")
             return cfg.one if e == 0 else self
-        return _elem(cfg, power(cfg._mul, self.packed, e % (cfg.q - 1)))
+        return from_packed(cfg, power(cfg._mul, self.packed, e % (cfg.q - 1)))
 
     def __eq__(self, other):
         return (isinstance(other, FqElem) and other.cfg is self.cfg
@@ -178,6 +179,7 @@ class FqConfig:
         self._logs: dict[int, int] = {}
         self._next = self.one.packed
         self._zech = None  # the Zech table, built by zech_table
+        self._omega_rows = None  # omega^(j*16^i), built by omega_pow
         self._lock = threading.Lock()
         if not _has_order(self._mul, self.omega.packed, self.q - 1,
                           self.q_minus_1_factors):
@@ -200,7 +202,23 @@ class FqConfig:
 
     def from_int(self, n: int) -> FqElem:
         """Image of the integer n under Z -> F_q."""
-        return _elem(self, n % self.p)  # the constant digit is field 0
+        return from_packed(self, n % self.p)  # the constant digit is field 0
+
+    def omega_pow(self, e: int) -> FqElem:
+        """omega^e, one product per base-16 digit of e mod q-1, off a table
+        of omega^(j*16^i) built on first use (Brickell et al., EUROCRYPT '92)."""
+        with self._lock:
+            if self._omega_rows is None:
+                rows, base, mul = [], self.omega.packed, self._mul
+                for _ in range(0, (self.q - 2).bit_length(), 4):
+                    rows.append(list(itertools.accumulate(
+                        itertools.repeat(base, 15), mul, initial=1)))
+                    base = mul(rows[-1][-1], base)
+                self._omega_rows = rows
+        acc, e, mul = 1, e % (self.q - 1), self._mul
+        for row in self._omega_rows:
+            acc, e = mul(acc, row[e & 15]), e >> 4
+        return from_packed(self, acc)
 
     def _grow(self, size: int) -> int:
         """Extend the baby-step table to min(size, q-1) entries; return
@@ -278,7 +296,7 @@ class FqConfig:
         if n is not None:
             return self.from_int(n)
         if coeffs is None:
-            return self.omega if e is None else self.omega ** e
+            return self.omega if e is None else self.omega_pow(e)
         if len(coeffs) != self.k:
             raise ValueError(f"need {self.k} coefficients in {text!r}")
         return FqElem(self, coeffs)
@@ -329,22 +347,26 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     (-1)^k c0, the norm of x, is no primitive root mod p (the norm maps
     generators onto generators); a candidate is accepted when x has
     order q-1 under its own packed kernels (see the module docstring).
+    For p < 17 one with a root in F_p^*, a factor x - a, is skipped unbuilt;
+    from p = 17 the p-1 evaluations were measured to cost more at k = 2, 3.
     """
     if k == 1:
         return ((-least_primitive_root(p)) % p, 1)
     if (p, k) in CONWAY_TABLE:
         return CONWAY_TABLE[(p, k)]
-    import itertools
     n = p**k - 1
     factors = factorize(n)
+    roots = range(1, p) if p < 17 else ()
+    rows = [[pow(a, i, p) for i in range(k + 1)] for a in roots]
     for c0 in range(1, p):
         if multiplicative_order((-1) ** k * c0 % p, p) != p - 1:
             continue
         for tail in itertools.product(range(p), repeat=k - 1):
             cand = (c0,) + tail + (1,)
-            width, mul = kernels(p, k, cand)[:2]
-            if _has_order(mul, 1 << width, n, factors):
-                return cand
+            if all(sum(c * x for c, x in zip(cand, row)) % p for row in rows):
+                width, mul = kernels(p, k, cand)[:2]
+                if _has_order(mul, 1 << width, n, factors):
+                    return cand
     raise ValueError(f"no primitive polynomial found for p={p}, k={k}")
 
 
@@ -407,7 +429,7 @@ class CyclotomicContext:
         self.field = field
         self.d = d
         self.m = (field.q - 1) // d
-        self.zeta = field.omega**self.m
+        self.zeta = field.omega_pow(self.m)
         pows = [field.one]
         for _ in range(d - 1):
             pows.append(pows[-1] * self.zeta)

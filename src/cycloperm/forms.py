@@ -7,12 +7,12 @@ most q-1, computed by a d-point DFT over the d-th roots of unity:
 
     (1/d) * sum_{i,j} zeta^(-ij) a_i T^(j*m + r_i).
 
-The reverse direction groups the coefficients of the candidate
+The reverse direction groups the nonzero terms of the candidate
 polynomial by the {1..m}-normalized remainders of their degrees and
 inverts the Vandermonde system; the (i, j) entry of
 d * V(1, zeta^-1, ..., zeta^-(d-1))^-1 is just zeta^(ij), so recovery
-is an O(d^2) exact DFT, no linear algebra needed (d is invertible in
-F_q because d | q-1).
+is an exact DFT, d packed-int products per nonzero term (at most d^3),
+with no linear algebra (d is invertible in F_q because d | q-1).
 
 Non-form inputs are reported by raising ``Rejected`` (a ValueError)
 with a machine readable reason code mirroring the halting conditions of
@@ -35,8 +35,7 @@ variant that peels a constant off the polynomial first.
 
 from __future__ import annotations
 
-from .arith import rem1
-from .field import CyclotomicContext, FqElem
+from .field import CyclotomicContext, FqElem, from_packed
 from .text import SUM, pattern, split
 from .wreath import (CosetPerm, WreathElem, cyclotomic_to_wreath,
                      wreath_to_cyclotomic)
@@ -63,9 +62,11 @@ class PolyForm:
 
     def __init__(self, cfg, coeffs):
         """coeffs: a {degree: FqElem} mapping; zero coefficients are dropped."""
-        for deg in coeffs:
+        for deg, c in coeffs.items():
             if not 0 <= deg < cfg.q:
                 raise ValueError(f"degree {deg} outside 0..q-1 = {cfg.q - 1}")
+            if c.cfg is not cfg:
+                raise ValueError("coefficients belong to a different field")
         self.cfg = cfg
         self.coeffs = {deg: c for deg, c in sorted(coeffs.items())
                        if not c.is_zero()}
@@ -163,6 +164,8 @@ class CyclotomicForm:
         r = tuple(r)
         if len(a) != ctx.d or len(r) != ctx.d:
             raise ValueError(f"need d={ctx.d} branch coefficients and exponents")
+        if any(ai.cfg is not ctx.field for ai in a):
+            raise ValueError("branch coefficients belong to a different field")
         for ri in r:
             if not 1 <= ri <= ctx.m:
                 raise ValueError(f"exponent {ri} outside 1..{ctx.m}")
@@ -234,17 +237,18 @@ def cyclotomic_to_poly(f: CyclotomicForm) -> PolyForm:
     ctx = f.ctx
     cfg = ctx.field
     d, m = ctx.d, ctx.m
-    inv_d = cfg.from_int(d).inverse()
-    coeffs: dict[int, FqElem] = {}
-    for i in range(d):
-        if f.a[i].is_zero():
-            continue
-        scaled = inv_d * f.a[i]
+    mul, add = cfg._mul, cfg._add
+    zeta_pows = [z.packed for z in ctx.zeta_pows]
+    inv_d = cfg.from_int(d).inverse().packed
+    coeffs: dict[int, int] = {}
+    for i, (a, r) in enumerate(zip(f.a, f.r)):
+        scaled = mul(inv_d, a.packed)
         for j in range(d):
-            deg = j * m + f.r[i]
-            coeffs[deg] = (coeffs.get(deg, cfg.zero)
-                           + scaled * ctx.zeta_pows[-i * j % d])
-    return PolyForm(cfg, coeffs)
+            deg = j * m + r
+            coeffs[deg] = add(coeffs.get(deg, 0),
+                              mul(scaled, zeta_pows[-i * j % d]))
+    return PolyForm(cfg, {deg: from_packed(cfg, c)
+                          for deg, c in coeffs.items()})
 
 
 def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
@@ -263,30 +267,37 @@ def poly_to_cyclotomic(P: PolyForm, ctx: CyclotomicContext) -> CyclotomicForm:
         raise Rejected("nonzero-constant-term")
     if P.is_zero():
         return CyclotomicForm(ctx, (cfg.zero,) * d, (1,) * d)
-    terms = P.terms()
-    if len(terms) > d * d:
-        raise Rejected("too-many-terms", f"{len(terms)} > d^2 = {d * d}")
-    rhos = sorted({rem1(deg, m) for deg, _ in terms})
+    if len(P.coeffs) > d * d:
+        raise Rejected("too-many-terms", f"{len(P.coeffs)} > d^2 = {d * d}")
+    # deg = j*m + rho with rho in 1..m: remainder group rho, DFT slot j
+    by_rho: dict[int, list[tuple[int, int]]] = {}
+    for deg, c in P.coeffs.items():
+        j, rho = divmod(deg - 1, m)
+        by_rho.setdefault(rho + 1, []).append((j, c.packed))
+    rhos = sorted(by_rho)
     if len(rhos) > d:
         raise Rejected("too-many-remainders", f"{len(rhos)} > d = {d}")
     # b_l = d * V(1, zeta^-1, ...)^-1 v_l, via the DFT identity: the (i, j)
-    # entry of that matrix is zeta^(ij)
-    zeta_pows = ctx.zeta_pows
-    b = []
-    for rho in rhos:
-        v = [P.coeff(j * m + rho) for j in range(d)]
-        b.append([sum((zeta_pows[i * j % d] * v[j] for j in range(d)),
-                      cfg.zero) for i in range(d)])
-    # branch i belongs to the one group l with b[l][i] != 0, or to group 0
-    # when there is none
-    groups = []
+    # entry of that matrix is zeta^(ij); only the nonzero v_l[j] count.
+    # Branch i belongs to the one group l with b_l[i] != 0, else to group 0
+    mul, add = cfg._mul, cfg._add
+    zeta_pows = [z.packed for z in ctx.zeta_pows]
+    a, r = [], []
     for i in range(d):
-        nz = [l for l in range(len(rhos)) if not b[l][i].is_zero()]
-        if len(nz) > 1:
+        hits = []
+        for rho in rhos:
+            acc = 0
+            for j, c in by_rho[rho]:
+                e = i * j % d
+                acc = add(acc, mul(zeta_pows[e], c) if e else c)
+            if acc:
+                hits.append((acc, rho))
+        if len(hits) > 1:
             raise Rejected("not-a-partition")
-        groups.append(nz[0] if nz else 0)
-    return CyclotomicForm(ctx, (b[l][i] for i, l in enumerate(groups)),
-                          (rhos[l] for l in groups))
+        acc, rho = hits[0] if hits else (0, rhos[0])
+        a.append(from_packed(cfg, acc))
+        r.append(rho)
+    return CyclotomicForm(ctx, a, r)
 
 
 def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnalysis:
@@ -299,14 +310,6 @@ def analyze_permutation(P: PolyForm, ctx: CyclotomicContext) -> PermutationAnaly
     except Rejected as exc:
         exc.form = form
         raise
-
-
-def is_permutation_form(f: CyclotomicForm) -> bool:
-    try:
-        cyclotomic_to_wreath(f)
-    except Rejected:
-        return False
-    return True
 
 
 def invert_permutation(f: CyclotomicForm) -> PolyForm:

@@ -372,13 +372,13 @@ def wreath_to_cyclotomic(g: WreathElem, ctx: CyclotomicContext):
     if (g.d, g.m) != (ctx.d, ctx.m):
         raise ValueError(f"wreath element over (d, m) = ({g.d}, {g.m}) does "
                          f"not match the context's ({ctx.d}, {ctx.m})")
-    omega = ctx.field.omega
+    omega_pow = ctx.field.omega_pow
     a = []
     r = []
     for i in range(g.d):
         j = g.psi(i)
         s = rem1(g.maps[j].a, ctx.m)  # r_i is in 1..m: a % m is 0 at m = 1
-        a.append(omega ** (j - i * s + ctx.d * g.maps[j].b))
+        a.append(omega_pow(j - i * s + ctx.d * g.maps[j].b))
         r.append(s)
     return CyclotomicForm(ctx, a, r)
 

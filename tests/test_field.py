@@ -19,6 +19,7 @@ from cycloperm.field import (
     _is_irreducible,
 )
 from test_kernels import tuple_mul
+from tests_helpers import default_modulus_unscreened
 
 
 def test_make_field_conway_f25(f25):
@@ -75,6 +76,20 @@ def test_default_modulus_equals_the_reference_search():
     assert len(NON_CONWAY_UP_TO_2_12) == 25
     for p, k in NON_CONWAY_UP_TO_2_12:
         assert default_modulus(p, k) == reference_default_modulus(p, k), (p, k)
+
+
+NON_CONWAY_UP_TO_2_14 = [
+    (p, k) for p in range(2, 129) if is_prime(p)
+    for k in range(2, 15) if p**k <= 2**14 and (p, k) not in CONWAY_TABLE]
+
+
+def test_the_root_screen_keeps_the_least_primitive_modulus():
+    # the screen runs for p < 17, up to 13^3 here; from p = 17 on the
+    # search is the unscreened one
+    assert {(2, 14), (5, 6), (13, 3), (53, 2), (127, 2)} <= set(
+        NON_CONWAY_UP_TO_2_14)
+    for p, k in NON_CONWAY_UP_TO_2_14:
+        assert default_modulus(p, k) == default_modulus_unscreened(p, k), (p, k)
 
 
 def test_default_modulus_recorded_values():
@@ -325,6 +340,19 @@ def test_zeta_matches_power(ctx_cache):
         assert ctx.zeta == ctx.field.omega ** ((q - 1) // d)
         assert ctx.zeta**d == ctx.field.one
         assert ctx.zeta_pows == tuple(ctx.zeta**e for e in range(d))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257)
+                               if len(factorize(q)) == 1] + [2**16, 65537])
+def test_omega_pow_matches_the_general_power(q):
+    ((p, k),) = factorize(q)
+    cfg = make_field(p, k)
+    n = q - 1
+    rng = random.Random(q)
+    exps = [0, 1, -1, n, -n, 2 * n + 3, -(2 * n + 3)]
+    exps += [rng.randrange(-3 * q, 3 * q) for _ in range(20)]
+    for e in exps:
+        assert cfg.omega_pow(e) == cfg.omega ** e, e
 
 
 def test_context_rejects_bad_divisor(f25):

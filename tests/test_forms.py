@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from cycloperm.arith import rem1
+from cycloperm.arith import divisors, factorize, rem1
 from cycloperm.field import CyclotomicContext, make_field
 from cycloperm.forms import (
     CyclotomicForm,
@@ -15,10 +15,16 @@ from cycloperm.forms import (
     cyclotomic_to_poly,
     eval_cyclotomic,
     invert_permutation,
-    is_permutation_form,
     poly_to_cyclotomic,
 )
-from tests_helpers import pointwise
+from cycloperm.wreath import cyclotomic_to_wreath, wreath_to_cyclotomic
+from tests_helpers import (
+    cyclotomic_to_poly_reference,
+    is_permutation_form,
+    pointwise,
+    poly_to_cyclotomic_reference,
+    random_wreath,
+)
 
 DEMO_POLY = "w^15*T^5 + w^23*T^7 + w^3*T^17 + w^23*T^19"
 DEMO_INVERSE = "w^9*T^5 + w^7*T^7 + w^9*T^17 + w^19*T^19"
@@ -397,8 +403,6 @@ def invert_per_term(f):
                                   (64, 9), (81, 5), (256, 15), (625, 13),
                                   (1024, 11)])
 def test_invert_steps_in_j_like_the_per_term_formula(ctx_cache, q, d):
-    from cycloperm.wreath import wreath_to_cyclotomic
-    from tests_helpers import random_wreath
     ctx = ctx_cache(q, d)
     rng = random.Random(q * d)
     for _ in range(8):
@@ -429,8 +433,6 @@ def test_psi_verdict_matches_field_powers(ctx_cache, q, d):
     # wreath elements) and random ones (mostly not): the wreath form, and
     # with it psi, comes back exactly when the field-power coset images
     # form a permutation
-    from cycloperm.wreath import cyclotomic_to_wreath, wreath_to_cyclotomic
-    from tests_helpers import random_wreath
     ctx = ctx_cache(q, d)
     w = ctx.field.omega
     rng = random.Random(q * d)
@@ -454,3 +456,95 @@ def test_psi_verdict_matches_field_powers(ctx_cache, q, d):
             assert info.value.code == "psi-not-bijective"
         verdicts.add(bijective)
     assert verdicts == {True, False}
+
+
+# -- the packed DFTs against their FqElem references ---------------------------
+
+PRIME_POWERS_TO_256 = [q for q in range(2, 257) if len(factorize(q)) == 1]
+
+
+def rejection_polys(ctx):
+    """(code, polynomial): one polynomial per reason poly_to_cyclotomic
+    gives, wherever the field and d admit one."""
+    cfg = ctx.field
+    d, m, one = ctx.d, ctx.m, ctx.field.one
+    out = [("nonzero-constant-term", PolyForm(cfg, {0: one, 1: one}))]
+    if d * d + 2 <= cfg.q:  # degrees 1..d^2+1
+        out.append(("too-many-terms",
+                    PolyForm(cfg, dict.fromkeys(range(1, d * d + 2), one))))
+    if 2 <= d < m:  # d+1 <= d^2 terms, remainders 1..d+1
+        out.append(("too-many-remainders",
+                    PolyForm(cfg, dict.fromkeys(range(1, d + 2), one))))
+    if d >= 2 and m >= 2:  # two groups, each nonzero on every branch
+        out.append(("not-a-partition", PolyForm(cfg, {1: one, 2: one})))
+    return out
+
+
+def outcome(convert, P, ctx):
+    try:
+        f = convert(P, ctx)
+    except Rejected as exc:
+        return exc.code
+    return f.a, f.r
+
+
+def check_against_the_references(ctx, rng, count):
+    """A permutation form (from a random wreath element), count forms
+    with zero branches, count random sparse polynomials and one
+    polynomial per rejection reason: both directions agree with the
+    FqElem references."""
+    cfg = ctx.field
+    d, q, w = ctx.d, cfg.q, cfg.omega
+    forms = [wreath_to_cyclotomic(random_wreath(ctx, rng), ctx)]
+    forms += [random_form(ctx, rng, nonzero=False) for _ in range(count)]
+    polys = [PolyForm.zero(cfg)]
+    for f in forms:
+        P = cyclotomic_to_poly(f)
+        assert P == cyclotomic_to_poly_reference(f)
+        polys.append(P)
+    for _ in range(count):
+        polys.append(PolyForm(cfg, {rng.randrange(1, q): w ** rng.randrange(q)
+                                    for _ in range(rng.randrange(1, d + 2))}))
+    for P in polys:
+        assert (outcome(poly_to_cyclotomic, P, ctx)
+                == outcome(poly_to_cyclotomic_reference, P, ctx))
+    for code, P in rejection_polys(ctx):
+        assert outcome(poly_to_cyclotomic, P, ctx) == code
+        assert outcome(poly_to_cyclotomic_reference, P, ctx) == code
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_256)
+def test_form_switch_matches_the_references_on_every_small_field(q):
+    ((p, k),) = factorize(q)
+    cfg = make_field(p, k)
+    rng = random.Random(q)
+    for d in divisors(q - 1):
+        ctx = CyclotomicContext(cfg, d)
+        # at m <= 2, d^2 reference products per input would dominate the
+        # suite; a permutation form and the rejections still cover each d
+        check_against_the_references(ctx, rng, int(ctx.m > 2))
+
+
+@pytest.mark.parametrize("p, k, ds", [(2, 16, (3, 5, 15, 17)),
+                                      (65537, 1, (2, 4, 16, 32))])
+def test_form_switch_matches_the_references_at_2_to_the_16(p, k, ds):
+    cfg = make_field(p, k)
+    rng = random.Random(p + k)
+    for d in ds:
+        check_against_the_references(CyclotomicContext(cfg, d), rng, 3)
+
+
+def test_rejection_polys_cover_every_reason(ctx_cache):
+    codes = {code for code, _ in rejection_polys(ctx_cache(25, 2))}
+    assert codes == {"nonzero-constant-term", "too-many-terms",
+                     "too-many-remainders", "not-a-partition"}
+
+
+def test_form_switch_refuses_elements_of_another_field(ctx25d2):
+    other = make_field(5, 2)
+    with pytest.raises(ValueError, match="different field"):
+        poly_to_cyclotomic(PolyForm.parse(other, "T"), ctx25d2)
+    with pytest.raises(ValueError, match="different field"):
+        PolyForm(ctx25d2.field, {1: other.one})
+    with pytest.raises(ValueError, match="different field"):
+        CyclotomicForm(ctx25d2, (other.one, ctx25d2.field.one), (1, 1))

@@ -3,7 +3,8 @@ defines a private top-level function or class it never uses, none
 but the field and the oracle ask for the full discrete-log table or
 the Zech table, none but the grammar (text) imports re, none but the field
 takes single discrete logs or builds an FqElem from coefficients, none
-composes cycle indices by general substitution, only eval_cyclotomic
+composes cycle indices by general substitution, none raises omega to
+a power but through FqConfig.omega_pow, only eval_cyclotomic
 finds cosets by field powers, outside the field only
 wreath.cyclotomic_to_wreath takes a batch of discrete logs, the
 CLI never enumerates a group element by element, and the oracle calls
@@ -233,6 +234,39 @@ def test_only_eval_cyclotomic_finds_cosets_by_field_powers(module):
     # coset_index, one field power per point, is the pointwise definition
     assert calls_of((SRC / module).read_text(), "coset_index",
                     outside="eval_cyclotomic") == 0
+
+
+def omega_powers(source: str) -> int:
+    """x.omega ** e and omega ** e, outside the body of FqConfig.omega_pow."""
+    tree = ast.parse(source)
+    exempt = {id(node) for top in tree.body
+              if isinstance(top, ast.ClassDef) and top.name == "FqConfig"
+              for method in top.body
+              if isinstance(method, ast.FunctionDef)
+              and method.name == "omega_pow"
+              for node in ast.walk(method)}
+    return sum(1 for node in ast.walk(tree)
+               if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+               and id(node) not in exempt
+               and "omega" in (getattr(node.left, "attr", None),
+                               getattr(node.left, "id", None)))
+
+
+def test_omega_powers_detector():
+    source = ("class FqConfig:\n"
+              "    def omega_pow(self, e):\n        return self.omega ** e\n"
+              "    def parse_elem(self, e):\n        return self.omega ** e\n"
+              "omega = cfg.omega\n"
+              "a = omega ** 3\nb = w ** 2\nc = cfg.omega * x\n"
+              "d = cfg.omega_pow(5)\ne = 2 ** cfg.omega.packed\n")
+    assert omega_powers(source) == 2
+
+
+@pytest.mark.parametrize("module", ALL_MODULES)
+def test_powers_of_omega_come_off_the_fixed_base_table(module):
+    # FqConfig.omega_pow takes one product per base-16 digit of the
+    # exponent; square and multiply takes about 1.5 per bit
+    assert omega_powers((SRC / module).read_text()) == 0
 
 
 def test_dlogs_calls_detector():

@@ -1,31 +1,37 @@
-"""Shared generators and property-suite bodies for randomized tests.
+"""Shared generators, property-suite bodies and reference versions of
+the fast paths for randomized tests.
 
 The acceptance suite runs these at the mandated sample sizes; the module
 test files reuse them at lighter sizes for quick regression signal.
 """
 
+import itertools
 import math
 
+from cycloperm.arith import factorize, multiplicative_order, rem1
 from cycloperm.conjugacy import (
     conjugacy_invariant,
     is_involution_elem,
     is_long_cycle,
 )
 from cycloperm.cycle_index import DEFAULT_CAP
+from cycloperm.field import _has_order
 from cycloperm.forms import (
     CyclotomicForm,
     PolyForm,
+    Rejected,
     cyclotomic_to_poly,
     eval_cyclotomic,
     invert_permutation,
-    is_permutation_form,
     poly_to_cyclotomic,
 )
 from cycloperm.oracle import enumerate_group, group_order
+from cycloperm.packed import kernels
 from cycloperm.wreath import (
     AffineMapZ,
     CosetPerm,
     WreathElem,
+    cyclotomic_to_wreath,
     wreath_to_cyclotomic,
 )
 
@@ -51,6 +57,15 @@ def pointwise(form):
     for _ in range(cfg.q - 1):
         yield x, apply(x)
         x = x * cfg.omega
+
+
+def is_permutation_form(f):
+    """Whether the form permutes F_q: its wreath form exists."""
+    try:
+        cyclotomic_to_wreath(f)
+    except Rejected:
+        return False
+    return True
 
 
 def random_form(ctx, rng, nonzero=True):
@@ -164,3 +179,72 @@ def check_rep_system_reference(system, cap=DEFAULT_CAP):
             matched.add(i)
     if len(matched) != len(system.reps):
         raise ValueError("a representative's class has no group element")
+
+
+def cyclotomic_to_poly_reference(f):
+    """forms.cyclotomic_to_poly in FqElem arithmetic: the d^2 products
+    of (1/d) sum_{i,j} zeta^(-ij) a_i T^(j*m + r_i), one object each."""
+    ctx = f.ctx
+    cfg = ctx.field
+    d, m = ctx.d, ctx.m
+    inv_d = cfg.from_int(d).inverse()
+    coeffs = {}
+    for i in range(d):
+        if f.a[i].is_zero():
+            continue
+        scaled = inv_d * f.a[i]
+        for j in range(d):
+            deg = j * m + f.r[i]
+            coeffs[deg] = (coeffs.get(deg, cfg.zero)
+                           + scaled * ctx.zeta_pows[-i * j % d])
+    return PolyForm(cfg, coeffs)
+
+
+def poly_to_cyclotomic_reference(P, ctx):
+    """forms.poly_to_cyclotomic in FqElem arithmetic: every remainder
+    group's dense DFT, #rhos * d^2 products with the zero coefficients."""
+    cfg = ctx.field
+    d, m = ctx.d, ctx.m
+    if P.cfg is not cfg:
+        raise ValueError("polynomial belongs to a different field")
+    if not P.coeff(0).is_zero():
+        raise Rejected("nonzero-constant-term")
+    if P.is_zero():
+        return CyclotomicForm(ctx, (cfg.zero,) * d, (1,) * d)
+    terms = P.terms()
+    if len(terms) > d * d:
+        raise Rejected("too-many-terms", f"{len(terms)} > d^2 = {d * d}")
+    rhos = sorted({rem1(deg, m) for deg, _ in terms})
+    if len(rhos) > d:
+        raise Rejected("too-many-remainders", f"{len(rhos)} > d = {d}")
+    zeta_pows = ctx.zeta_pows
+    b = []
+    for rho in rhos:
+        v = [P.coeff(j * m + rho) for j in range(d)]
+        b.append([sum((zeta_pows[i * j % d] * v[j] for j in range(d)),
+                      cfg.zero) for i in range(d)])
+    groups = []
+    for i in range(d):
+        nz = [l for l in range(len(rhos)) if not b[l][i].is_zero()]
+        if len(nz) > 1:
+            raise Rejected("not-a-partition")
+        groups.append(nz[0] if nz else 0)
+    return CyclotomicForm(ctx, (b[l][i] for i, l in enumerate(groups)),
+                          (rhos[l] for l in groups))
+
+
+def default_modulus_unscreened(p, k):
+    """field.default_modulus's search without the root screen: every
+    candidate with an admissible constant term gets its own kernels and
+    the order test.  For k > 1 outside the Conway table."""
+    n = p**k - 1
+    factors = factorize(n)
+    for c0 in range(1, p):
+        if multiplicative_order((-1) ** k * c0 % p, p) != p - 1:
+            continue
+        for tail in itertools.product(range(p), repeat=k - 1):
+            cand = (c0,) + tail + (1,)
+            width, mul = kernels(p, k, cand)[:2]
+            if _has_order(mul, 1 << width, n, factors):
+                return cand
+    raise ValueError(f"no primitive polynomial found for p={p}, k={k}")
